@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench chaos mutate-smoke opt-smoke cover fuzz-smoke
+.PHONY: all build test race vet fmt lint check bench chaos mutate-smoke opt-smoke cover fuzz-smoke daemon-smoke
 
 all: check
 
@@ -78,7 +78,15 @@ fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzDisasmRoundTrip$$' -fuzztime 5s
 
-check: fmt vet build test race cover fuzz-smoke mutate-smoke opt-smoke chaos
+# daemon-smoke checks that failpoints compile to no-ops in plain builds, then
+# drives a real journaled cftcgd over HTTP: health, metrics, one campaign
+# submitted and watched to progress, SIGTERM drain (scripts/daemon-smoke.sh).
+daemon-smoke:
+	scripts/daemon-smoke.sh
+
+# check is the CI gate (scripts/check.sh runs it). Its stages run in order;
+# lint includes fmt and vet.
+check: lint build test race cover fuzz-smoke mutate-smoke opt-smoke chaos daemon-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

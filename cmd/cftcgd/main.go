@@ -4,7 +4,7 @@
 // status API plus Prometheus-text metrics.
 //
 //	cftcgd [-addr host:port] [-runners n] [-drain-timeout d] [-journal dir]
-//	        [-max-queue n] [-max-import-bytes n] [-opt]
+//	        [-max-queue n] [-max-import-bytes n]
 //
 // With -journal the daemon is crash-durable: every job state transition is
 // appended to a WAL in the journal directory, and on restart the journal is
@@ -56,8 +56,6 @@ func main() {
 	journalDir := flag.String("journal", "", "journal directory for crash-durable campaign state (empty = in-memory only)")
 	maxQueue := flag.Int("max-queue", 128, "queued submissions beyond this are shed with 503")
 	maxImport := flag.Int64("max-import-bytes", 32<<20, "corpus import request body cap")
-	optimize := flag.Bool("opt", false, "optimize every campaign's program before fuzzing (translation-validated)")
-	backend := flag.String("backend", "", "VM backend every campaign executes on: switch or threaded (empty = per-submission choice)")
 	flag.Parse()
 
 	srv, err := campaign.NewServerWithConfig(resolveModel, campaign.ServerConfig{
@@ -65,8 +63,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		MaxImportBytes: *maxImport,
 		Journal:        *journalDir,
-		ForceOptimize:  *optimize,
-		ForceBackend:   *backend,
 	})
 	if err != nil {
 		log.Fatalf("cftcgd: %v", err)

@@ -16,8 +16,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
-	"cftcg/internal/vm"
 )
 
 // ModelResolver turns a submitted model name into a compiled program. The
@@ -48,17 +46,9 @@ type Spec struct {
 	// Analyze runs the static dead-objective analysis before fuzzing so
 	// unreachable branch slots drop out of the coverage denominators.
 	Analyze bool `json:"analyze,omitempty"`
-	// Optimize runs the translation-validated IR optimization pipeline
-	// before fuzzing, so the shards execute the optimized program. The
-	// validator guarantees identical outputs and probe streams.
-	Optimize bool `json:"optimize,omitempty"`
 	// Directed biases mutation toward input fields that influence the
 	// still-unsatisfied objectives (implies nothing in fuzz-only mode).
 	Directed bool `json:"directed,omitempty"`
-	// Backend selects the VM execution backend for every shard: "switch"
-	// (default) or "threaded". The backends are differentially proven
-	// observably identical, so the choice affects throughput only.
-	Backend string `json:"backend,omitempty"`
 	// Mutate scores the generated suite against IR-level mutants once the
 	// campaign finishes; the summary lands on the final snapshot, the jobs
 	// API and the cftcg_mutants_* metrics. (Chart-level operators need the
@@ -74,12 +64,7 @@ func (sp *Spec) options() (fuzz.Options, error) {
 	if err != nil {
 		return fuzz.Options{}, err
 	}
-	backend, err := vm.ParseBackend(sp.Backend)
-	if err != nil {
-		return fuzz.Options{}, err
-	}
 	opts := fuzz.Options{
-		Backend:        backend,
 		Seed:           sp.Seed,
 		Mode:           mode,
 		MaxExecs:       sp.MaxExecs,
@@ -226,14 +211,6 @@ type ServerConfig struct {
 	CompactSegments int
 	// Supervise tunes shard supervision for every campaign this server runs.
 	Supervise Supervise
-	// ForceOptimize turns on Spec.Optimize for every submission (the
-	// cftcgd -opt flag): each campaign fuzzes the translation-validated
-	// optimized program regardless of what the client asked for.
-	ForceOptimize bool
-	// ForceBackend, when non-empty, overrides Spec.Backend for every
-	// submission (the cftcgd -backend flag): all campaigns execute on this
-	// VM backend regardless of what the client asked for.
-	ForceBackend string
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -291,9 +268,6 @@ func NewServer(resolve ModelResolver, runners int) *Server {
 // resuming their shards from the per-shard checkpoint files.
 func NewServerWithConfig(resolve ModelResolver, cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if _, err := vm.ParseBackend(cfg.ForceBackend); err != nil {
-		return nil, err // fail at startup, not on every submission
-	}
 	s := &Server{
 		cfg:     cfg,
 		resolve: resolve,
@@ -417,15 +391,6 @@ func (s *Server) runJob(job *Job) {
 		// The resolver compiles per call, so marking this job's plan does
 		// not leak dead flags into other submissions of the same model.
 		analysis.MarkDead(compiled.Prog, compiled.Plan)
-	}
-	if job.Spec.Optimize {
-		// Optimize once here rather than per shard: every shard then runs
-		// the same validated program, and the mutation-scoring pass below
-		// derives its mutants from the code that actually fuzzed.
-		if _, err := compiled.Optimize(opt.Config{Seed: job.Spec.Seed}); err != nil {
-			fail(fmt.Errorf("optimize: %w", err))
-			return
-		}
 	}
 	opts, err := job.Spec.options()
 	if err != nil {
@@ -575,19 +540,6 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	}
 	if _, err := fuzz.ParseMode(spec.Mode); err != nil {
 		return nil, err
-	}
-	if s.cfg.ForceBackend != "" {
-		// Promote before validation and job construction, like ForceOptimize
-		// below, so the journal and the status API reflect what will run.
-		spec.Backend = s.cfg.ForceBackend
-	}
-	if _, err := vm.ParseBackend(spec.Backend); err != nil {
-		return nil, err
-	}
-	if s.cfg.ForceOptimize {
-		// Promote before the job is built so the journal and the status API
-		// both reflect what will actually run.
-		spec.Optimize = true
 	}
 	s.mu.Lock()
 	if s.draining {

@@ -267,37 +267,41 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return string(data)
 }
 
-// TestBackendSpecAndForce: an unknown backend name is rejected at submit
-// (and, for ForceBackend, at server construction); -backend promotes every
-// submission's spec before it is journaled, like ForceOptimize.
-func TestBackendSpecAndForce(t *testing.T) {
-	if _, err := NewServerWithConfig(testResolver(t), ServerConfig{ForceBackend: "bogus"}); err == nil {
-		t.Fatal("ForceBackend bogus: want a startup error")
-	}
-
-	plain := NewServer(testResolver(t), 1)
-	if _, err := plain.Submit(Spec{Model: "Magic", MaxExecs: 50, Backend: "bogus"}); err == nil {
-		t.Error("submit with unknown backend: want an error")
-	}
-	drain(t, plain)
-
-	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Runners: 1, ForceBackend: "threaded"})
+// TestLegacyBackendFieldsAccepted: campaigns always run the threaded VM
+// and never the optimizer, but submissions from older clients and journals
+// written by older daemons still carry "backend" and "optimize". Both must
+// be accepted and run to completion.
+func TestLegacyBackendFieldsAccepted(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := openJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 200})
+	jnl.log.Append([]byte(`{"type":"submitted","job":1,"time":"2024-01-01T00:00:00Z",` +
+		`"spec":{"model":"Magic","execs":300,"backend":"switch","optimize":true}}`))
+	jnl.close()
+
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Runners: 1, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Spec.Backend != "threaded" {
-		t.Errorf("ForceBackend not promoted onto the spec: %q", job.Spec.Backend)
+	if st := waitState(t, srv, 1, StateDone); st.Report == nil {
+		t.Error("replayed legacy job has no report")
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for job.status().State != StateDone {
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign on the threaded backend did not finish: %+v", job.status())
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"model":"Magic","execs":200,"backend":"threaded","optimize":true}`,
+		`{"model":"Magic","execs":200,"backend":"switch","optimize":false}`,
+	} {
+		var job JobStatus
+		if code := postJSON(t, ts, "/api/campaigns", json.RawMessage(body), &job); code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", body, code)
 		}
-		time.Sleep(2 * time.Millisecond)
+		if st := waitState(t, srv, job.ID, StateDone); st.Report == nil {
+			t.Errorf("legacy submission %s has no report", body)
+		}
 	}
 	drain(t, srv)
 }

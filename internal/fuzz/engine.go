@@ -15,7 +15,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/faultinject"
 	"cftcg/internal/model"
-	"cftcg/internal/opt"
 	"cftcg/internal/testcase"
 	"cftcg/internal/vm"
 )
@@ -86,17 +85,6 @@ type Options struct {
 	// Entries must be non-negative; ignored in fuzz-only mode.
 	MutantBias []float64
 
-	// Optimize runs the translation-validated IR optimization pipeline over
-	// the program before fuzzing, so the campaign executes the optimized
-	// code. The pipeline's validator guarantees identical outputs and probe
-	// streams, so coverage and findings are comparable either way.
-	Optimize bool
-	// Backend selects the VM execution backend the campaign runs on: the
-	// switch reference interpreter (the zero value) or the direct-threaded
-	// compiled backend. The cross-backend differential rig proves the
-	// backends observably identical — outputs, probes, fuel, hang sites —
-	// so results are comparable whichever executes.
-	Backend vm.BackendKind
 	// Fuel bounds the instructions one init/step call may execute before it
 	// is aborted and triaged as a Hang finding (0 = vm.DefaultFuel).
 	Fuel int64
@@ -166,9 +154,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Fuel < 0 {
 		return fmt.Errorf("fuzz: negative Fuel %d", o.Fuel)
-	}
-	if !o.Backend.Valid() {
-		return fmt.Errorf("fuzz: unknown backend %v", o.Backend)
 	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("fuzz: negative CheckpointEvery %s", o.CheckpointEvery)
@@ -352,23 +337,12 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 30 * time.Second
 	}
-	if opts.Optimize {
-		// Swap in the optimized program on a local copy — the caller's
-		// Compiled (possibly shared across workers) is left untouched.
-		p, _, err := opt.Optimize(c.Prog, c.Plan, opt.Config{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		c2 := *c
-		c2.Prog = p
-		c = &c2
-	}
 	rec := coverage.NewRecorder(c.Plan)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	e := &Engine{
 		c:          c,
 		rec:        rec,
-		m:          vm.NewBackend(opts.Backend, c.Prog, rec),
+		m:          vm.NewThreaded(c.Prog, rec),
 		opts:       opts,
 		rng:        rng,
 		mut:        NewMutator(c.Prog.In, c.Prog.TupleSize(), opts.MaxTuples, rng),

@@ -129,37 +129,54 @@ func TestEngineDeterministicWithSeed(t *testing.T) {
 }
 
 // TestBackendInvariantCampaign: a campaign is a deterministic function of
-// (seed, options, observable VM behavior) — and the threaded backend is
-// differentially proven observably identical to the switch reference — so
-// the same campaign on either backend must produce the same executions,
-// steps, cases and coverage, byte for byte.
+// (seed, options, observable VM behavior), and the threaded backend every
+// campaign runs is differentially proven observably identical to the switch
+// reference. So the same campaign with its machine swapped for the reference
+// must produce the same executions, steps, cases, findings and coverage,
+// byte for byte — on every benchmark model, in both fuzzing modes.
 func TestBackendInvariantCampaign(t *testing.T) {
-	for _, name := range []string{"CPUTask", "SolarPV"} {
-		e, err := benchmodels.Get(name)
+	for _, ent := range benchmodels.All() {
+		c, err := codegen.Compile(ent.Build())
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := codegen.Compile(e.Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Seed: 3, MaxExecs: 1500, Directed: true}
-		sw := MustEngine(c, opts).Run()
-		opts.Backend = vm.BackendThreaded
-		th := MustEngine(c, opts).Run()
-		if sw.Execs != th.Execs || sw.Steps != th.Steps || sw.Corpus != th.Corpus {
-			t.Fatalf("%s: counters diverge across backends: execs %d/%d steps %d/%d corpus %d/%d",
-				name, sw.Execs, th.Execs, sw.Steps, th.Steps, sw.Corpus, th.Corpus)
-		}
-		if d1, d2 := sw.Report.Decision(), th.Report.Decision(); d1 != d2 {
-			t.Fatalf("%s: decision coverage diverges: %.2f vs %.2f", name, d1, d2)
-		}
-		if len(sw.Suite.Cases) != len(th.Suite.Cases) {
-			t.Fatalf("%s: case counts diverge: %d vs %d", name, len(sw.Suite.Cases), len(th.Suite.Cases))
-		}
-		for i := range sw.Suite.Cases {
-			if !bytes.Equal(sw.Suite.Cases[i].Data, th.Suite.Cases[i].Data) {
-				t.Fatalf("%s: case %d differs across backends", name, i)
+		for _, opts := range []Options{
+			{Seed: 3, MaxExecs: 1500, Directed: true},
+			{Seed: 3, MaxExecs: 1500, Mode: ModeFuzzOnly},
+		} {
+			name := ent.Name + "/" + opts.Mode.String()
+			th := MustEngine(c, opts)
+			if _, ok := th.m.(*vm.Threaded); !ok {
+				t.Fatalf("%s: campaign machine is %T, want *vm.Threaded", name, th.m)
+			}
+			ref := MustEngine(c, opts)
+			ref.m = vm.New(c.Prog, ref.rec)
+			ref.m.SetFuel(opts.Fuel)
+			a, b := ref.Run(), th.Run()
+			if a.Execs != b.Execs || a.Steps != b.Steps || a.Corpus != b.Corpus {
+				t.Fatalf("%s: counters diverge across backends: execs %d/%d steps %d/%d corpus %d/%d",
+					name, a.Execs, b.Execs, a.Steps, b.Steps, a.Corpus, b.Corpus)
+			}
+			ra, rb := a.Report, b.Report
+			if ra.DecisionCovered != rb.DecisionCovered || ra.CondCovered != rb.CondCovered || ra.MCDCCovered != rb.MCDCCovered {
+				t.Fatalf("%s: coverage diverges across backends: %v vs %v", name, ra, rb)
+			}
+			if len(a.Suite.Cases) != len(b.Suite.Cases) {
+				t.Fatalf("%s: case counts diverge: %d vs %d", name, len(a.Suite.Cases), len(b.Suite.Cases))
+			}
+			for i := range a.Suite.Cases {
+				if !bytes.Equal(a.Suite.Cases[i].Data, b.Suite.Cases[i].Data) {
+					t.Fatalf("%s: case %d differs across backends", name, i)
+				}
+			}
+			if len(a.Findings) != len(b.Findings) {
+				t.Fatalf("%s: finding counts diverge: %d vs %d", name, len(a.Findings), len(b.Findings))
+			}
+			for i := range a.Findings {
+				fa, fb := a.Findings[i], b.Findings[i]
+				if fa.Kind != fb.Kind || fa.Site != fb.Site || fa.Count != fb.Count || !bytes.Equal(fa.Input, fb.Input) {
+					t.Fatalf("%s: finding %d differs across backends: %v vs %v", name, i, fa, fb)
+				}
 			}
 		}
 	}

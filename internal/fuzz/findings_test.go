@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"cftcg/internal/codegen"
-	"cftcg/internal/ir"
 	"cftcg/internal/model"
+	"cftcg/internal/vm"
 )
 
 // isqrtModel compiles a genuine data-dependent loop (integer square root by
@@ -104,27 +104,25 @@ func TestCampaignSurvivesHangsWithinBudget(t *testing.T) {
 	}
 }
 
+// panicStep is a vm.Backend whose Step panics, standing in for any
+// interpreter defect.
+type panicStep struct{ vm.Backend }
+
+func (panicStep) Step([]uint64) error { panic("injected interpreter defect") }
+
 func TestPanicRecoveredAsCrashFinding(t *testing.T) {
 	c := switchOnly(t)
 	e := MustEngine(c, Options{Seed: 1, MaxExecs: 1})
-	// Corrupt the program: a register index past the file makes the VM panic
-	// with index-out-of-range, standing in for any interpreter defect.
-	for i := range e.c.Prog.Step {
-		if e.c.Prog.Step[i].Op == ir.OpStoreOut {
-			e.c.Prog.Step[i].A = 1 << 20
-			break
-		}
-	}
-	metric, _, _ := e.RunInput([]byte{1})
-	_ = metric
+	e.m = panicStep{e.m}
+	e.RunInput([]byte{1})
 	if len(e.findings) != 1 || e.findings[0].Kind != FindingCrash {
 		t.Fatalf("want 1 crash finding, got %v", e.findings)
 	}
 	if e.execs != 1 {
 		t.Errorf("execs = %d, want 1 (crashing input still counted)", e.execs)
 	}
-	// The engine remains usable after the recovered panic on other inputs?
-	// The corruption is permanent here, so just verify dedup instead.
+	// The fault is permanent here, so a second run of the same input
+	// must deduplicate onto the first finding.
 	e.RunInput([]byte{1})
 	if len(e.findings) != 1 || e.findings[0].Count != 2 {
 		t.Errorf("crash dedup failed: %v", e.findings)

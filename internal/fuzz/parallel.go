@@ -5,7 +5,6 @@ import (
 
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
-	"cftcg/internal/opt"
 	"cftcg/internal/testcase"
 )
 
@@ -24,19 +23,6 @@ import (
 func RunParallel(c *codegen.Compiled, opts Options, workers int) (*Result, error) {
 	if workers < 1 {
 		workers = 1
-	}
-	if opts.Optimize {
-		// Optimize once up front rather than per worker: every engine then
-		// shares the same validated program, and NewEngine's per-engine
-		// optimization path stays off.
-		p, _, err := opt.Optimize(c.Prog, c.Plan, opt.Config{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		c2 := *c
-		c2.Prog = p
-		c = &c2
-		opts.Optimize = false
 	}
 	engines := make([]*Engine, workers)
 	for w := 0; w < workers; w++ {

@@ -17,11 +17,9 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/model"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
 	"cftcg/internal/simcotest"
 	"cftcg/internal/sldv"
 	"cftcg/internal/testcase"
-	"cftcg/internal/vm"
 )
 
 // Tool identifies a test-case generator under evaluation.
@@ -80,19 +78,9 @@ type Config struct {
 	// model, so branch slots proved unreachable drop out of every tool's
 	// coverage denominators (Table 3 then reports achievable objectives).
 	Analyze bool
-	// Optimize runs the translation-validated IR optimization pipeline on
-	// each compiled model before the tools execute it, so every tool (and
-	// the mutation pass, whose mutants derive from the optimized program)
-	// runs the code campaigns actually ship.
-	Optimize bool
 	// Directed biases CFTCG/Hybrid mutation toward input fields that the
 	// influence map links to still-unsatisfied objectives.
 	Directed bool
-	// Backend selects the VM backend the fuzz-based tools execute on (the
-	// switch reference by default). Coverage results are backend-invariant —
-	// the differential rig proves observable equality — so this trades
-	// nothing but wall-clock per exec.
-	Backend vm.BackendKind
 
 	// CellTimeout is the hard deadline for one tool×model×seed cell. A cell
 	// that exceeds it (or panics) is rendered as degraded in Table 3 instead
@@ -235,7 +223,6 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 			MaxExecs:  cfg.FuzzMaxExecs,
 			Fuel:      cfg.FuzzFuel,
 			Directed:  cfg.Directed,
-			Backend:   cfg.Backend,
 		})
 		if err != nil {
 			return ToolResult{}, err
@@ -269,7 +256,6 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 			Fuel:       cfg.FuzzFuel,
 			SeedInputs: seedInputs,
 			Directed:   cfg.Directed,
-			Backend:    cfg.Backend,
 		})
 		if err != nil {
 			return ToolResult{}, err
@@ -335,11 +321,6 @@ func RunModel(e benchmodels.Entry, tools []Tool, cfg Config) (ModelResult, error
 	}
 	if cfg.Analyze {
 		analysis.MarkDead(c.Prog, c.Plan)
-	}
-	if cfg.Optimize {
-		if _, err := c.Optimize(opt.Config{Seed: cfg.Seed}); err != nil {
-			return ModelResult{}, fmt.Errorf("harness: %s: %w", e.Name, err)
-		}
 	}
 	mr := ModelResult{
 		Entry:    e,

@@ -45,9 +45,9 @@ const (
 	// the reference semantics every other backend is differentially tested
 	// against.
 	BackendSwitch BackendKind = iota
-	// BackendThreaded compiles the program once into a slice of Go closures
-	// (direct-threaded dispatch) with fused superinstructions for the hot
-	// pairs the lowering emits.
+	// BackendThreaded compiles the program once into a flat micro-op stream
+	// with fused superinstructions for the hot pairs the lowering emits. It
+	// is the backend every campaign runs.
 	BackendThreaded
 	numBackendKinds
 )
@@ -66,18 +66,6 @@ func (k BackendKind) String() string {
 
 // Valid reports whether k names a defined backend.
 func (k BackendKind) Valid() bool { return k < numBackendKinds }
-
-// ParseBackend resolves a backend name as spelled on the CLI and the daemon
-// API. The empty string selects the switch reference backend.
-func ParseBackend(s string) (BackendKind, error) {
-	switch s {
-	case "", "switch":
-		return BackendSwitch, nil
-	case "threaded":
-		return BackendThreaded, nil
-	}
-	return 0, fmt.Errorf("vm: unknown backend %q (want switch or threaded)", s)
-}
 
 // NewBackend creates a machine of the given kind for the program. rec may be
 // nil to run without coverage collection.

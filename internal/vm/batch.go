@@ -108,7 +108,7 @@ func (b *Batch) Init(lane int) error {
 	}
 	b.dirty[lane] = true
 	c := b.codes[lane]
-	return b.exec(lane, "init", c.init, c.initSlow)
+	return b.exec(lane, "init", c.init, c.prog.Init)
 }
 
 // Step runs one model iteration on one lane with the given input tuple.
@@ -116,11 +116,11 @@ func (b *Batch) Step(lane int, in []uint64) error {
 	b.dirty[lane] = true
 	b.sts[lane].in = in
 	c := b.codes[lane]
-	return b.exec(lane, "step", c.step, c.stepSlow)
+	return b.exec(lane, "step", c.step, c.prog.Step)
 }
 
-func (b *Batch) exec(lane int, fn string, ms []mop, slow []opFn) error {
-	left, hangPC, hung := runMops(ms, slow, &b.sts[lane], b.fuel)
+func (b *Batch) exec(lane int, fn string, ms []mop, code []ir.Instr) error {
+	left, hangPC, hung := runMops(ms, code, &b.sts[lane], b.fuel)
 	if hung {
 		b.used[lane] = b.fuel
 		return &HangError{Func: fn, PC: hangPC, Fuel: b.fuel, Site: b.codes[lane].prog.LoopSiteFor(fn, hangPC)}

@@ -209,9 +209,12 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 		m.kind = mCall2
 		m.f2 = binFn(ins.Op, dt)
 	}
+	// Unary ops reach the closure only for Float32 math and ill-typed
+	// Neg/Abs/math; they take the reference helper.
 	setCall1 := func() {
+		op := ins.Op
 		m.kind = mCall1
-		m.f1 = unFn(ins.Op, dt)
+		m.f1 = func(a uint64) uint64 { return unaryMath(op, dt, a) }
 	}
 
 	switch ins.Op {
@@ -461,31 +464,12 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 // charging: a block is straight-line (only its final instruction can
 // transfer control, and Halt terminates a block like a jump), so either the
 // whole block runs — charging len instructions, same as one by one — or the
-// budget dies at the head and the affordable prefix replays through the
-// unfused closures, which also never walks past the block terminator.
+// budget dies at the head and the affordable prefix replays unfused (see
+// replayPrefix), which also never walks past the block terminator.
 // Blocks longer than 255 instructions are chunked so the charge fits the
 // mop's uint8 cost field; a chunk boundary behaves exactly like a block
 // boundary.
-func blockCosts(code []ir.Instr, ms []mop) {
-	if len(code) == 0 {
-		return
-	}
-	head := make([]bool, len(code))
-	head[0] = true
-	for pc := range code {
-		switch code[pc].Op {
-		case ir.OpJmp, ir.OpJmpIf, ir.OpJmpIfNot, ir.OpHalt:
-			if pc+1 < len(code) {
-				head[pc+1] = true
-			}
-		}
-	}
-	targets := jumpTargets(code)
-	for pc := 0; pc < len(code); pc++ {
-		if targets[pc] {
-			head[pc] = true
-		}
-	}
+func blockCosts(code []ir.Instr, ms []mop, head []bool) {
 	// Walk dispatch points (stepping over fused spans so a chunk boundary
 	// never lands mid-span), accumulating each block's instruction count
 	// into its head.
@@ -503,7 +487,7 @@ func blockCosts(code []ir.Instr, ms []mop) {
 }
 
 // fuseMops installs superinstructions at fusion heads. The covered pcs keep
-// their mops (nothing jumps there — fusion requires it), but the dispatch
+// their mops (no block starts there — fusion requires it), but the dispatch
 // loop skips them by advancing cost instructions at once. The patterns are
 // the statically hottest pairs/triples the lowering emits: the state-update
 // triple, compare-and-branch, the probe diamonds around every decision, and
@@ -576,12 +560,11 @@ func inlineFusedCmp(m *mop, op ir.Op, dt model.DType, constForm bool) {
 	}
 }
 
-func fuseMops(code []ir.Instr, ms []mop) (fused int) {
-	targets := jumpTargets(code)
+func fuseMops(code []ir.Instr, ms []mop, head []bool) (fused int) {
 	end := len(code)
 	isJcc := func(op ir.Op) bool { return op == ir.OpJmpIf || op == ir.OpJmpIfNot }
 	for pc := 0; pc < len(code); {
-		if pc+2 < len(code) && !targets[pc+1] && !targets[pc+2] {
+		if pc+2 < len(code) && !head[pc+1] && !head[pc+2] {
 			c0, c1, c2 := &code[pc], &code[pc+1], &code[pc+2]
 			// loadState + arith + storeState: the state-update pattern of
 			// every delay/integrator/counter block.
@@ -625,7 +608,7 @@ func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 				continue
 			}
 		}
-		if pc+1 < len(code) && !targets[pc+1] {
+		if pc+1 < len(code) && !head[pc+1] {
 			c0, c1 := &code[pc], &code[pc+1]
 			var m mop
 			switch {
@@ -729,14 +712,24 @@ func rst(base unsafe.Pointer, i int32, v uint64) {
 	*(*uint64)(unsafe.Add(base, uintptr(uint32(i))*8)) = v
 }
 
-// runMops is the inner interpreter loop, shared by Threaded and Batch. Fuel
-// is charged before execution, exactly mirroring the reference interpreter's
-// check-before-execute order: cost instructions per dispatch. When the
-// budget dies inside a fused span, the still-affordable prefix of the span
-// replays through the unfused closures so every executed instruction's side
-// effects land and the hang pc is the precise sub-instruction the reference
-// would have stopped at.
-func runMops(ms []mop, slow []opFn, s *execState, budget int64) (left int64, hangPC int, hung bool) {
+// replayPrefix runs the instructions of a block prefix the remaining fuel
+// still covers, unfused, so every instruction the reference would have
+// executed before running out has its side effects. A prefix strictly
+// shorter than its block never holds a control transfer (only a block's last
+// instruction may transfer), so the prefix runs straight through to the
+// sentinel and its jump targets never matter.
+func replayPrefix(prefix []ir.Instr, s *execState) {
+	runMops(compileMops(prefix), nil, s, int64(len(prefix)))
+}
+
+// runMops is the inner interpreter loop, shared by Threaded and Batch. code
+// is the function body ms was compiled from. Fuel is charged before
+// execution, exactly mirroring the reference interpreter's check-before-
+// execute order: cost instructions per dispatch. When the budget dies at a
+// block head, the still-affordable prefix of the block replays unfused so
+// every executed instruction's side effects land and the hang pc is the
+// precise instruction the reference would have stopped at.
+func runMops(ms []mop, code []ir.Instr, s *execState, budget int64) (left int64, hangPC int, hung bool) {
 	state := s.state
 	var rb unsafe.Pointer
 	if len(s.regs) > 0 {
@@ -754,9 +747,7 @@ func runMops(ms []mop, slow []opFn, s *execState, budget int64) (left int64, han
 		m := (*mop)(unsafe.Add(mb, uintptr(uint(pc))*unsafe.Sizeof(mop{})))
 		c := int64(m.cost)
 		if fuel < c {
-			for i := int64(0); i < fuel; i++ {
-				slow[pc+int(i)](s)
-			}
+			replayPrefix(code[pc:pc+int(fuel)], s)
 			return 0, pc + int(fuel), true
 		}
 		fuel -= c

@@ -9,24 +9,19 @@ import (
 	"cftcg/internal/model"
 )
 
-// The threaded backend compiles a program once, pre-decoding every
-// instruction into two parallel forms:
+// The threaded backend compiles a program once into a flat micro-op stream
+// per function (mop.go) that the dispatch loop runs: operands widened,
+// opcode × data type monomorphized into one dense kind, width constants
+// (mask/shift/order-bias) precomputed, and the hot instruction pairs the
+// lowering emits fused into superinstructions (const+arith, cmp+jmpIf,
+// loadState+arith+storeState). Rare shapes (Float32 math, ill-typed ops)
+// call through one pre-bound closure.
 //
-//   - a flat micro-op stream (mop.go) the dispatch loop runs: operands
-//     widened, opcode × data type monomorphized into one dense kind,
-//     width constants (mask/shift/order-bias) precomputed, and the hot
-//     instruction pairs the lowering emits fused into superinstructions
-//     (const+arith, cmp+jmpIf, loadState+arith+storeState);
-//   - a slice of Go closures, one per instruction, each a pre-bound unfused
-//     executor. They serve rare shapes the stream calls through (casts,
-//     Float32 math, ill-typed ops) and — crucially — the fuel-exhaustion
-//     path: when the budget dies inside a fused span, the affordable prefix
-//     replays through the closures so partial side effects and the HangError
-//     pc match the reference switch interpreter exactly.
-//
-// Fuel is accounted centrally in the dispatch loop: each micro-op carries the
-// number of source instructions it covers (1, or the span for fused), charged
-// before execution in the same check-before-execute order as the reference.
+// Fuel is charged per basic block at dispatch, in the same check-before-
+// execute order as the reference. When the budget dies at a block head, the
+// affordable prefix of the block is compiled on the spot to unfused
+// micro-ops and run, so partial side effects and the HangError pc match the
+// reference switch interpreter exactly (see replayPrefix).
 //
 // The compiled Code is immutable and shared: one compile serves any number
 // of Threaded machines and Batch lanes.
@@ -42,21 +37,14 @@ type execState struct {
 	rec   *coverage.Recorder
 }
 
-// opFn executes one (possibly fused) instruction and returns the next pc.
-// Returning len(code) ends the function cleanly.
-type opFn func(s *execState) int
-
 // Code is a program compiled for threaded dispatch.
 type Code struct {
 	prog *ir.Program
 
 	// init/step are the pre-decoded micro-op streams with superinstructions
-	// installed at fusion heads; slow keeps the unfused closure for every pc
-	// (fuel-exhaustion replay, see the package comment).
-	init     []mop
-	initSlow []opFn
-	step     []mop
-	stepSlow []opFn
+	// installed at fusion heads.
+	init []mop
+	step []mop
 
 	fused int // superinstructions formed across both functions
 }
@@ -81,14 +69,14 @@ func CompileThreaded(p *ir.Program) *Code {
 	}
 	c := &Code{prog: p}
 	var nf int
-	c.init, c.initSlow, nf = compileFunc(p.Init)
+	c.init, nf = compileFunc(p.Init)
 	c.fused += nf
-	c.step, c.stepSlow, nf = compileFunc(p.Step)
+	c.step, nf = compileFunc(p.Step)
 	c.fused += nf
 	return c
 }
 
-// Threaded executes one program instance through compiled closures. It is a
+// Threaded executes one program instance through compiled micro-ops. It is a
 // drop-in Backend: same fuel accounting, HangError attribution, probe
 // recording and output/state surfaces as the reference Machine.
 type Threaded struct {
@@ -150,17 +138,17 @@ func (t *Threaded) State() []uint64 { return t.s.state }
 func (t *Threaded) Init() error {
 	clear(t.s.state)
 	clear(t.s.out)
-	return t.exec("init", t.code.init, t.code.initSlow)
+	return t.exec("init", t.code.init, t.code.prog.Init)
 }
 
 // Step runs one model iteration with the given input tuple.
 func (t *Threaded) Step(in []uint64) error {
 	t.s.in = in
-	return t.exec("step", t.code.step, t.code.stepSlow)
+	return t.exec("step", t.code.step, t.code.prog.Step)
 }
 
-func (t *Threaded) exec(fn string, ms []mop, slow []opFn) error {
-	left, hangPC, hung := runMops(ms, slow, &t.s, t.fuel)
+func (t *Threaded) exec(fn string, ms []mop, code []ir.Instr) error {
+	left, hangPC, hung := runMops(ms, code, &t.s, t.fuel)
 	if hung {
 		t.used = t.fuel
 		return &HangError{Func: fn, PC: hangPC, Fuel: t.fuel, Site: t.code.prog.LoopSiteFor(fn, hangPC)}
@@ -169,39 +157,51 @@ func (t *Threaded) exec(fn string, ms []mop, slow []opFn) error {
 	return nil
 }
 
-// compileFunc translates one function body: an unfused closure plus a
-// pre-decoded micro-op per pc, then superinstructions installed at fusion
-// heads where the covered pcs are not jump targets.
-func compileFunc(code []ir.Instr) (ms []mop, slow []opFn, fused int) {
-	n := len(code)
-	slow = make([]opFn, n)
-	ms = make([]mop, n)
-	for pc := range code {
-		slow[pc] = compileOp(&code[pc], pc, n)
-		ms[pc] = compileMop(&code[pc], pc, n)
-	}
-	fused = fuseMops(code, ms)
-	blockCosts(code, ms)
-	// Sentinel: every exit path lands here — sequential fall-through, an
-	// explicit halt's jump, or a branch to pc == len(code). Its zero cost
-	// can never trip the fuel check, so the dispatch loop needs neither a
-	// pc < n test nor a bounds check on the mop fetch.
-	ms = append(ms, mop{kind: mHalt})
-	return ms, slow, fused
+// compileFunc translates one function body: a pre-decoded micro-op per pc,
+// then superinstructions installed at fusion heads where no covered pc
+// starts a basic block.
+func compileFunc(code []ir.Instr) (ms []mop, fused int) {
+	ms = compileMops(code)
+	heads := blockHeads(code)
+	fused = fuseMops(code, ms, heads)
+	blockCosts(code, ms, heads)
+	return ms, fused
 }
 
-// jumpTargets marks every pc some jump in the function lands on.
-func jumpTargets(code []ir.Instr) []bool {
-	t := make([]bool, len(code)+1)
-	for i := range code {
-		switch code[i].Op {
+// compileMops pre-decodes every instruction of code, unfused at one fuel
+// unit each, and ends the stream in a sentinel: every exit path lands there
+// — sequential fall-through, an explicit halt's jump, or a branch to
+// pc == len(code). Its zero cost can never trip the fuel check, so the
+// dispatch loop needs neither a pc < n test nor a bounds check on the mop
+// fetch.
+func compileMops(code []ir.Instr) []mop {
+	n := len(code)
+	ms := make([]mop, n+1)
+	for pc := range code {
+		ms[pc] = compileMop(&code[pc], pc, n)
+	}
+	ms[n] = mop{kind: mHalt}
+	return ms
+}
+
+// blockHeads marks the first pc of every basic block: the entry, every pc
+// some jump lands on, and every pc after a control transfer (Halt ends a
+// block like a jump).
+func blockHeads(code []ir.Instr) []bool {
+	head := make([]bool, len(code)+1)
+	head[0] = true
+	for pc := range code {
+		switch code[pc].Op {
 		case ir.OpJmp, ir.OpJmpIf, ir.OpJmpIfNot:
-			if code[i].Imm <= uint64(len(code)) {
-				t[code[i].Imm] = true
+			if code[pc].Imm <= uint64(len(code)) {
+				head[code[pc].Imm] = true
 			}
+			head[pc+1] = true
+		case ir.OpHalt:
+			head[pc+1] = true
 		}
 	}
-	return t
+	return head
 }
 
 func isArith(op ir.Op) bool {
@@ -235,201 +235,23 @@ func jumpTo(imm uint64, n int) int {
 	return t
 }
 
-// compileOp translates one instruction into a closure with pre-decoded
-// operands and a monomorphized body. end is the function length (the
-// clean-exit pc for OpHalt).
-func compileOp(ins *ir.Instr, pc, end int) opFn {
-	next := pc + 1
-	switch ins.Op {
-	case ir.OpNop:
-		return func(s *execState) int { return next }
-
-	case ir.OpConst:
-		dst, imm := int(ins.Dst), ins.Imm
-		return func(s *execState) int {
-			s.regs[dst] = imm
-			return next
-		}
-	case ir.OpMov:
-		dst, a := int(ins.Dst), int(ins.A)
-		return func(s *execState) int {
-			s.regs[dst] = s.regs[a]
-			return next
-		}
-
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMin, ir.OpMax,
-		ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-		f := binFn(ins.Op, ins.DT)
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = f(s.regs[a], s.regs[b])
-			return next
-		}
-
-	case ir.OpNeg, ir.OpAbs,
-		ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-		f := unFn(ins.Op, ins.DT)
-		dst, a := int(ins.Dst), int(ins.A)
-		return func(s *execState) int {
-			s.regs[dst] = f(s.regs[a])
-			return next
-		}
-
-	case ir.OpAnd:
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = s.regs[a] & s.regs[b] & 1
-			return next
-		}
-	case ir.OpOr:
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = (s.regs[a] | s.regs[b]) & 1
-			return next
-		}
-	case ir.OpXor:
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = (s.regs[a] ^ s.regs[b]) & 1
-			return next
-		}
-	case ir.OpNot:
-		dst, a := int(ins.Dst), int(ins.A)
-		return func(s *execState) int {
-			s.regs[dst] = (s.regs[a] & 1) ^ 1
-			return next
-		}
-
-	case ir.OpTruth:
-		dst, a := int(ins.Dst), int(ins.A)
-		switch ins.DT2 {
-		case model.Float64:
-			return func(s *execState) int {
-				s.regs[dst] = b2u(math.Float64frombits(s.regs[a]) != 0)
-				return next
-			}
-		case model.Float32:
-			return func(s *execState) int {
-				s.regs[dst] = b2u(math.Float32frombits(uint32(s.regs[a])) != 0)
-				return next
-			}
-		}
-		// Non-float truth is "any payload bit set": sign extension cannot
-		// zero a nonzero value, so the masked raw decides. Invalid types
-		// decode to 0 (mask 0), like model.DecodeInt.
-		mask := maskOf(ins.DT2)
-		return func(s *execState) int {
-			s.regs[dst] = b2u(s.regs[a]&mask != 0)
-			return next
-		}
-	case ir.OpSelect:
-		dst, a, b, c := int(ins.Dst), int(ins.A), int(ins.B), int(ins.C)
-		return func(s *execState) int {
-			if s.regs[a] != 0 {
-				s.regs[dst] = s.regs[b]
-			} else {
-				s.regs[dst] = s.regs[c]
-			}
-			return next
-		}
-	case ir.OpCast:
-		dst, a := int(ins.Dst), int(ins.A)
-		to, from := ins.DT, ins.DT2
-		return func(s *execState) int {
-			s.regs[dst] = model.Cast(to, from, s.regs[a])
-			return next
-		}
-
-	case ir.OpLoadIn:
-		dst, idx := int(ins.Dst), int(ins.Imm)
-		return func(s *execState) int {
-			s.regs[dst] = s.in[idx]
-			return next
-		}
-	case ir.OpStoreOut:
-		a, idx := int(ins.A), int(ins.Imm)
-		return func(s *execState) int {
-			s.out[idx] = s.regs[a]
-			return next
-		}
-	case ir.OpLoadState:
-		dst, idx := int(ins.Dst), int(ins.Imm)
-		return func(s *execState) int {
-			s.regs[dst] = s.state[idx]
-			return next
-		}
-	case ir.OpStoreState:
-		a, idx := int(ins.A), int(ins.Imm)
-		return func(s *execState) int {
-			s.state[idx] = s.regs[a]
-			return next
-		}
-
-	case ir.OpJmp:
-		tgt := jumpTo(ins.Imm, end)
-		return func(s *execState) int { return tgt }
-	case ir.OpJmpIf:
-		a, tgt := int(ins.A), jumpTo(ins.Imm, end)
-		return func(s *execState) int {
-			if s.regs[a] != 0 {
-				return tgt
-			}
-			return next
-		}
-	case ir.OpJmpIfNot:
-		a, tgt := int(ins.A), jumpTo(ins.Imm, end)
-		return func(s *execState) int {
-			if s.regs[a] == 0 {
-				return tgt
-			}
-			return next
-		}
-
-	case ir.OpProbe:
-		dec, out := int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			if s.rec != nil {
-				s.rec.Outcome(dec, out)
-			}
-			return next
-		}
-	case ir.OpCondProbe:
-		id, b := int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			if s.rec != nil {
-				s.rec.Cond(id, s.regs[b] != 0)
-			}
-			return next
-		}
-
-	case ir.OpHalt:
-		return func(s *execState) int { return end }
-	}
-	// Unknown opcodes execute as no-ops, exactly like the reference
-	// interpreter's switch falling through every case.
-	return func(s *execState) int { return next }
-}
-
 // --- monomorphized value functions ------------------------------------------
 //
-// Each builder runs the opcode × data-type dispatch once at compile time and
-// returns a closure whose body is the bare decode/op/encode sequence over
-// captured width constants. The specialized paths are transcriptions of
-// arith/compare/unaryMath from the reference interpreter — the differential
-// rig and the semantics matrix test hold them to bit equality. Bool
-// arithmetic and ill-typed combinations (which the verifier rejects but
+// The fused arith/compare superinstructions and the mCall2 fallback carry a
+// value function. Each builder runs the opcode × data-type dispatch once at
+// compile time and returns a closure whose body is the bare decode/op/encode
+// sequence over captured width constants. The specialized paths are
+// transcriptions of arith/compare from the reference interpreter — the
+// differential rig and the semantics matrix test hold them to bit equality.
+// Bool arithmetic and ill-typed combinations (which the verifier rejects but
 // random or mutated programs may contain) fall back to the reference helpers
 // themselves.
 //
 // Width tricks the integer paths rely on (w = bit width, mask = 2^w-1):
-//   - add/sub/mul/neg and the bitwise ops are determined by the low w bits,
-//     so one masked uint64 computation serves signed and unsigned alike;
+//   - add/sub/mul are determined by the low w bits, so one masked uint64
+//     computation serves signed and unsigned alike;
 //   - eq/ne compare masked raws (sign extension is injective);
-//   - shift amounts take only the low 5 bits of the raw (w >= 8 > 5), so
-//     `raw & 31` equals `uint(decoded) & 31`;
-//   - div/min/max/shr and the ordered compares decode for real: sign-extend
+//   - div/min/max and the ordered compares decode for real: sign-extend
 //     (signed) or mask (unsigned).
 
 // maskOf returns the payload mask of an integer-like type: 1 for Bool (one
@@ -693,29 +515,11 @@ func compareFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
 	return func(a, b uint64) uint64 { return compare(op, dt, a, b) }
 }
 
+// bitFn builds the value function of a bitwise op on a type without an
+// integer payload layout (Bool, floats, invalid). Integer types never reach
+// it: compileMop gives them dense kinds. The body is the reference
+// encode/decode path verbatim.
 func bitFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
-	if dt.IsInteger() {
-		mask := maskOf(dt)
-		switch op {
-		case ir.OpBitAnd:
-			return func(a, b uint64) uint64 { return a & b & mask }
-		case ir.OpBitOr:
-			return func(a, b uint64) uint64 { return (a | b) & mask }
-		case ir.OpBitXor:
-			return func(a, b uint64) uint64 { return (a ^ b) & mask }
-		case ir.OpShl:
-			return func(a, b uint64) uint64 { return (a & mask << (b & 31)) & mask }
-		case ir.OpShr:
-			if dt.IsSigned() {
-				sh := 64 - uint(dt.Size()*8)
-				return func(a, b uint64) uint64 {
-					return uint64((int64(a<<sh)>>sh)>>(b&31)) & mask
-				}
-			}
-			return func(a, b uint64) uint64 { return a & mask >> (b & 31) }
-		}
-	}
-	// Bool and non-integer types: reference encode/decode path verbatim.
 	switch op {
 	case ir.OpBitAnd:
 		return func(a, b uint64) uint64 {
@@ -746,91 +550,4 @@ func b2u(v bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// unFn builds the value function of a unary op (neg, abs and the float math
-// functions).
-func unFn(op ir.Op, dt model.DType) func(uint64) uint64 {
-	switch op {
-	case ir.OpNeg:
-		switch dt {
-		case model.Float64:
-			return func(a uint64) uint64 { return math.Float64bits(-math.Float64frombits(a)) }
-		case model.Float32:
-			return func(a uint64) uint64 {
-				return uint64(math.Float32bits(float32(-float64(math.Float32frombits(uint32(a))))))
-			}
-		}
-		if dt == model.Bool || dt.IsInteger() {
-			// Two's-complement negation is determined by the low payload
-			// bits; for Bool, -(a&1) renormalizes to a&1, matching
-			// EncodeInt's truthiness canonicalization.
-			mask := maskOf(dt)
-			return func(a uint64) uint64 { return (0 - a&mask) & mask }
-		}
-	case ir.OpAbs:
-		switch dt {
-		case model.Float64:
-			return func(a uint64) uint64 { return math.Float64bits(math.Abs(math.Float64frombits(a))) }
-		case model.Float32:
-			return func(a uint64) uint64 {
-				return uint64(math.Float32bits(float32(math.Abs(float64(math.Float32frombits(uint32(a)))))))
-			}
-		}
-		if dt.IsSigned() {
-			sh := 64 - uint(dt.Size()*8)
-			mask := maskOf(dt)
-			return func(a uint64) uint64 {
-				v := int64(a<<sh) >> sh
-				if v < 0 {
-					v = -v
-				}
-				return uint64(v) & mask
-			}
-		}
-		if dt == model.Bool || dt.IsInteger() {
-			mask := maskOf(dt)
-			return func(a uint64) uint64 { return a & mask }
-		}
-	}
-	if dt == model.Float64 {
-		switch op {
-		case ir.OpSqrt:
-			return func(a uint64) uint64 {
-				x := math.Float64frombits(a)
-				if x < 0 {
-					return 0
-				}
-				return math.Float64bits(math.Sqrt(x))
-			}
-		case ir.OpExp:
-			return func(a uint64) uint64 { return math.Float64bits(math.Exp(math.Float64frombits(a))) }
-		case ir.OpLog:
-			return func(a uint64) uint64 {
-				x := math.Float64frombits(a)
-				if x <= 0 {
-					return 0
-				}
-				return math.Float64bits(math.Log(x))
-			}
-		case ir.OpSin:
-			return func(a uint64) uint64 { return math.Float64bits(math.Sin(math.Float64frombits(a))) }
-		case ir.OpCos:
-			return func(a uint64) uint64 { return math.Float64bits(math.Cos(math.Float64frombits(a))) }
-		case ir.OpTan:
-			return func(a uint64) uint64 { return math.Float64bits(math.Tan(math.Float64frombits(a))) }
-		case ir.OpFloor:
-			return func(a uint64) uint64 { return math.Float64bits(math.Floor(math.Float64frombits(a))) }
-		case ir.OpCeil:
-			return func(a uint64) uint64 { return math.Float64bits(math.Ceil(math.Float64frombits(a))) }
-		case ir.OpRound:
-			return func(a uint64) uint64 { return math.Float64bits(math.Round(math.Float64frombits(a))) }
-		case ir.OpTrunc:
-			return func(a uint64) uint64 { return math.Float64bits(math.Trunc(math.Float64frombits(a))) }
-		}
-	}
-	// Float32 math, Neg/Abs on invalid types, and math on non-float types
-	// take the reference helper: decode through float64, compute, re-encode
-	// with the clamping Encode.
-	return func(a uint64) uint64 { return unaryMath(op, dt, a) }
 }

@@ -1,132 +1,8 @@
 #!/bin/sh
-# check.sh — the repository's CI gate: formatting, vet, build, race tests.
-# Exits non-zero on the first failure. Equivalent to `make check`.
+# check.sh — the repository's CI gate. Every stage lives in the Makefile;
+# this runs `make check` from the repository root and exits non-zero on the
+# first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
-
-echo "== gofmt =="
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-	echo "gofmt needed on:"
-	echo "$unformatted"
-	exit 1
-fi
-
-echo "== go vet =="
-go vet ./...
-
-# Focused full-speed race pass over the concurrency-bearing packages: the
-# engine's cross-goroutine status plane, the campaign daemon's shard fan-out
-# and the shared coverage structures. (The later -short -race sweep covers
-# the rest of the tree.)
-echo "== lint: go test -race (concurrency packages) =="
-go test -race ./internal/fuzz ./internal/campaign ./internal/coverage ./internal/vm ./internal/ir
-# The optimizer and mutation packages ride along in -short mode: their
-# property tests (1k-case lockstep sweeps, full mutant grinds) starve under
-# the race detector's ~15x slowdown.
-go test -short -race ./internal/opt ./internal/mutate
-
-echo "== go build =="
-go build ./...
-
-echo "== go test (shuffled) =="
-go test -shuffle=on ./...
-
-# Race mode runs -short: the headline campaign comparisons are
-# timing-sensitive and starve under the race detector's ~15x slowdown.
-echo "== go test -short -race =="
-go test -short -race ./...
-
-# Coverage floors on the load-bearing packages (VM backends, IR).
-echo "== coverage floors =="
-scripts/cover.sh
-
-# Native fuzz targets, briefly, past their committed corpora: the
-# cross-backend lockstep rig and the disassembler round-tripper.
-echo "== fuzz smoke =="
-go test ./internal/vm -run '^$' -fuzz '^FuzzVMBackendsLockstep$' -fuzztime 10s
-go test ./internal/ir -run '^$' -fuzz '^FuzzDisasmRoundTrip$' -fuzztime 5s
-
-# Mutation-testing smoke: generate mutants for a small model, kill them
-# with a freshly fuzzed suite, and require a mutation score in (0, 1].
-# Same gate as `make mutate-smoke`.
-echo "== mutate smoke =="
-out=$(go run ./cmd/cftcg mutate SolarPV -budget 30 -execs 1500 -fuzz-budget 5s -json)
-score=$(echo "$out" | sed -n 's/.*"score": \([0-9.]*\),*/\1/p' | head -n1)
-echo "mutation score: $score"
-awk "BEGIN { exit !($score > 0 && $score <= 1) }" </dev/null \
-	|| { echo "mutate-smoke: score $score outside (0, 1]"; exit 1; }
-
-# Optimizer smoke: push every built-in benchmark through the translation-
-# validated optimization pipeline via the CLI — each must come out
-# verifier-clean and VM-lockstep equivalent. Same gate as `make opt-smoke`.
-echo "== opt smoke =="
-for m in CPUTask AFC TCP RAC EVCS TWC UTPC SolarPV; do
-	out=$(go run ./cmd/cftcg analyze "$m" -stats -opt) \
-		|| { echo "opt-smoke: $m: optimizer failed"; exit 1; }
-	echo "$out" | grep -q "optimization validated" \
-		|| { echo "opt-smoke: $m: missing validation line"; exit 1; }
-	echo "opt-smoke: $m: $(echo "$out" | sed -n 's/^optimized: //p')"
-done
-
-# Chaos suite: arm the build-tag-gated failpoints and run the
-# fault-injection tests (torn WAL writes, fsync failures, checkpoint
-# panics, hanging shards, kill-9 of a journaled daemon) under -race.
-echo "== chaos: go test -race -tags faultinject =="
-go test -race -tags faultinject ./internal/faultinject ./internal/wal ./internal/fuzz ./internal/campaign
-
-# Daemon smoke test: build cftcgd, bring it up on an ephemeral port, poll
-# the health and metrics planes, submit one campaign, verify a non-empty
-# status snapshot, then drain it with SIGTERM.
-echo "== cftcgd smoke =="
-tmp=$(mktemp -d)
-trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-go build -o "$tmp/cftcgd" ./cmd/cftcgd
-
-# Failpoints must compile to no-ops in plain builds: the armed marker
-# string appears only in binaries built with -tags faultinject.
-echo "== faultinject no-op check =="
-go build -o "$tmp/cftcgd_armed" -tags faultinject ./cmd/cftcgd
-if grep -qa "faultinject: armed" "$tmp/cftcgd"; then
-	echo "plain build carries armed failpoints"; exit 1
-fi
-grep -qa "faultinject: armed" "$tmp/cftcgd_armed" \
-	|| { echo "armed build is missing the failpoint marker"; exit 1; }
-
-"$tmp/cftcgd" -addr 127.0.0.1:0 -journal "$tmp/journal" >"$tmp/daemon.log" 2>&1 &
-daemon_pid=$!
-
-# The daemon logs its resolved listen address; extract the ephemeral port.
-addr=""
-for _ in $(seq 1 50); do
-	addr=$(sed -n 's/.*listening on //p' "$tmp/daemon.log" | head -n1)
-	[ -n "$addr" ] && break
-	sleep 0.1
-done
-[ -n "$addr" ] || { echo "cftcgd never reported its address"; cat "$tmp/daemon.log"; exit 1; }
-
-curl -fsS "http://$addr/healthz" | grep -q ok || { echo "healthz failed"; exit 1; }
-curl -fsS "http://$addr/metrics" | grep -q cftcgd_uptime_seconds || { echo "metrics failed"; exit 1; }
-curl -fsS -X POST -d '{"model":"SolarPV","shards":2,"budget":"2s","seed":1}' \
-	"http://$addr/api/campaigns" | grep -q '"id": 1' || { echo "submit failed"; exit 1; }
-
-# Poll until the campaign's snapshot shows real work (it runs for 2s).
-ok=""
-for _ in $(seq 1 100); do
-	if curl -fsS "http://$addr/api/campaigns/1" | grep -q '"execs": [1-9]'; then
-		ok=1
-		break
-	fi
-	sleep 0.1
-done
-[ -n "$ok" ] || { echo "campaign never reported progress"; curl -fsS "http://$addr/api/campaigns/1"; exit 1; }
-curl -fsS "http://$addr/metrics" | grep -q 'cftcg_campaign_execs_total{campaign="1"' \
-	|| { echo "campaign metrics missing"; exit 1; }
-
-kill -TERM "$daemon_pid"
-wait "$daemon_pid" || { echo "cftcgd drain failed"; cat "$tmp/daemon.log"; exit 1; }
-grep -q drained "$tmp/daemon.log" || { echo "cftcgd did not drain"; cat "$tmp/daemon.log"; exit 1; }
-ls "$tmp/journal"/*.wal >/dev/null 2>&1 || { echo "journal wrote no segments"; exit 1; }
-
-echo "OK"
+exec make check
