@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench chaos mutate-smoke opt-smoke cover fuzz-smoke daemon-smoke
+.PHONY: all build test race vet fmt lint check bench bench-smoke chaos mutate-smoke opt-smoke cover fuzz-smoke daemon-smoke
 
 all: check
 
@@ -84,9 +84,15 @@ fuzz-smoke:
 daemon-smoke:
 	scripts/daemon-smoke.sh
 
+# bench-smoke runs the exec-bounded fuzz-loop and harness benchmarks once
+# each, so they keep compiling and running (throughput is not gated here;
+# scripts/bench.sh measures it).
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^(BenchmarkEngine|BenchmarkHarnessTable3)$$' -benchtime 1x .
+
 # check is the CI gate (scripts/check.sh runs it). Its stages run in order;
 # lint includes fmt and vet.
-check: lint build test race cover fuzz-smoke mutate-smoke opt-smoke chaos daemon-smoke
+check: lint build test race cover fuzz-smoke mutate-smoke opt-smoke chaos daemon-smoke bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

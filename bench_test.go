@@ -6,6 +6,7 @@
 //	BenchmarkTable3Coverage            — Table 3 (coverage per tool/model)
 //	BenchmarkFigure7CoverageOverTime   — Figure 7 (decision coverage vs time)
 //	BenchmarkFigure8FuzzOnly           — Figure 8 (model-oriented vs fuzz-only)
+//	BenchmarkEngine                    — Algorithm 1 fuzz-loop throughput
 //	BenchmarkSpeedVMvsInterp           — §4 (26,000 it/s vs 6 it/s claim)
 //	BenchmarkCPUTaskDeepBranches       — §4 (CPUTask 37 s vs 44.5 h estimate)
 //	BenchmarkAblationIterDiff          — Algorithm 1 corpus-priority ablation
@@ -198,6 +199,37 @@ func BenchmarkFigure8FuzzOnly(b *testing.B) {
 				reportCoverage(b, rep)
 			})
 		}
+	}
+}
+
+// BenchmarkEngine measures the fuzz loop end to end, per model: one
+// operation is a `cftcg fuzz` default campaign (seed 1, mode cftcg, 64-tuple
+// cap) bounded by 20,000 executions, so every run does the same work on any
+// host. execs/s and steps/s are its throughput; ns/step is the engine's cost
+// per model iteration, VM and coverage bookkeeping together — compare it to
+// BenchmarkVMBackends' threaded/rec ns/op for the bare VM step.
+func BenchmarkEngine(b *testing.B) {
+	const execs = 20000
+	for _, e := range benchmodels.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			c := compileBench(b, e.Name)
+			var runs, steps int64
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				eng := fuzz.MustEngine(c, fuzz.Options{Seed: 1, MaxExecs: execs})
+				t0 := time.Now()
+				res := eng.Run()
+				elapsed += time.Since(t0)
+				if res.Execs != execs {
+					b.Fatalf("campaign ran %d execs, budget %d", res.Execs, execs)
+				}
+				runs += res.Execs
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(runs)/elapsed.Seconds(), "execs/s")
+			b.ReportMetric(float64(steps)/elapsed.Seconds(), "steps/s")
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(steps), "ns/step")
+		})
 	}
 }
 
@@ -572,13 +604,17 @@ func BenchmarkMutantKill(b *testing.B) {
 
 // BenchmarkHarnessTable3 exercises the full harness path (what cmd/benchtab
 // does) on one model, so the orchestration layer itself has a benchmark.
+// The fuzz tool stops on an execution budget and SLDV on a node budget, so
+// an operation is the same work on any host; the wall budget is only a cap.
 func BenchmarkHarnessTable3(b *testing.B) {
 	e, err := benchmodels.Get("SolarPV")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := harness.DefaultConfig()
-	cfg.Budget = 150 * time.Millisecond
+	cfg.FuzzMaxExecs = 5000
+	cfg.SLDVNodes = 20000
+	cfg.Budget = 10 * time.Second
 	cfg.Repetitions = 1
 	for i := 0; i < b.N; i++ {
 		if _, err := harness.RunModel(e, []harness.Tool{harness.ToolCFTCG, harness.ToolSLDV}, cfg); err != nil {

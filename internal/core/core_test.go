@@ -75,6 +75,34 @@ func TestReplayMatchesCampaignCoverage(t *testing.T) {
 	}
 }
 
+// TestReplayReproducesCampaignMCDC: the emitted suite carries every MCDC
+// (condition vector, outcome) pair the engine counted, so replaying it on a
+// fresh recorder reproduces the campaign's MCDC coverage exactly — not only
+// its decision and condition coverage — on every benchmark model.
+func TestReplayReproducesCampaignMCDC(t *testing.T) {
+	for _, e := range benchmodels.All() {
+		t.Run(e.Name, func(t *testing.T) {
+			sys, err := FromModel(e.Build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Fuzz(fuzz.Options{Seed: 3, MaxExecs: 4000, Directed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw [][]byte
+			for _, c := range res.Suite.Cases {
+				raw = append(raw, c.Data)
+			}
+			rep, _ := sys.Replay(raw)
+			if rep.MCDCCovered != res.Report.MCDCCovered || rep.MCDCTotal != res.Report.MCDCTotal {
+				t.Errorf("replayed suite of %d cases: MCDC %d/%d, campaign reported %d/%d",
+					len(raw), rep.MCDCCovered, rep.MCDCTotal, res.Report.MCDCCovered, res.Report.MCDCTotal)
+			}
+		})
+	}
+}
+
 func TestWriteSuite(t *testing.T) {
 	sys := solarpv(t)
 	res, err := sys.Fuzz(fuzz.Options{Seed: 5, MaxExecs: 3000})

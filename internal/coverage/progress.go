@@ -11,6 +11,7 @@ type Progress struct {
 	dead            []bool
 	covOut, covCond int
 	totOut, totCond int
+	fresh           []int // Fold's scratch list of newly seen slots
 }
 
 // NewProgress creates a progress tracker for a plan. Branch slots the plan
@@ -44,24 +45,22 @@ func NewProgress(p *Plan) *Progress {
 	return pr
 }
 
-// Absorb folds one iteration's coverage into the campaign view, returning
-// how many branch slots were newly covered.
+// Absorb folds one iteration's coverage (a 0/1 hit array) into the campaign
+// view, returning how many branch slots were newly covered.
 func (pr *Progress) Absorb(curr []uint8) int {
+	_, pr.fresh = Fold(curr, nil, pr.Seen, pr.fresh[:0])
 	n := 0
-	for b, v := range curr {
-		if v != 0 && pr.Seen[b] == 0 {
-			pr.Seen[b] = 1
-			if pr.dead[b] {
-				// Statically "impossible" yet observed: an analysis bug, but
-				// percentages must not exceed 100 — count nothing.
-				continue
-			}
-			n++
-			if pr.isOutcome[b] {
-				pr.covOut++
-			} else {
-				pr.covCond++
-			}
+	for _, b := range pr.fresh {
+		if pr.dead[b] {
+			// Statically "impossible" yet observed: an analysis bug, but
+			// percentages must not exceed 100 — count nothing.
+			continue
+		}
+		n++
+		if pr.isOutcome[b] {
+			pr.covOut++
+		} else {
+			pr.covCond++
 		}
 	}
 	return n

@@ -217,6 +217,7 @@ type Engine struct {
 	seen     []uint8 // all branches ever hit (test-case emission)
 	mask     []bool  // branches visible to the fuzzer's feedback
 	last     []uint8 // previous iteration's coverage (Algorithm 1 lastCov)
+	fresh    []int   // branches coverage.Fold newly marked in seen
 	tupleBuf []uint64
 
 	// influence is the static input-field → branch influence map; non-nil
@@ -570,19 +571,15 @@ func (e *Engine) RunInput(data []byte) (metric int, newMasked, newAny int) {
 	e.lastInputFuel += e.m.LastFuelUsed()
 	// Coverage triggered by initialization (e.g. chart entry actions)
 	// counts toward totals but not toward the iteration metric.
-	for b, v := range rec.Curr {
-		if v != 0 && e.seen[b] == 0 {
-			e.seen[b] = 1
-			e.noteNewBranch(b, &newMasked, &newAny)
-		}
+	_, e.fresh = coverage.Fold(rec.Curr, nil, e.seen, e.fresh[:0])
+	for _, b := range e.fresh {
+		e.noteNewBranch(b, &newMasked, &newAny)
 	}
 	if initErr != nil {
 		e.noteHang(data, step, initErr)
 		return metric, newMasked, newAny
 	}
-	for i := range e.last {
-		e.last[i] = 0
-	}
+	clear(e.last)
 
 	n := len(data) / e.tuple
 	fields := e.c.Prog.In
@@ -602,17 +599,11 @@ func (e *Engine) RunInput(data []byte) (metric int, newMasked, newAny int) {
 				e.lastViolated = true
 			}
 		}
-		last := e.last
-		for b := range curr {
-			c := curr[b]
-			if c != 0 && e.seen[b] == 0 {
-				e.seen[b] = 1
-				e.noteNewBranch(b, &newMasked, &newAny)
-			}
-			if c != last[b] {
-				metric++
-				last[b] = c
-			}
+		var diff int
+		diff, e.fresh = coverage.Fold(curr, e.last, e.seen, e.fresh[:0])
+		metric += diff
+		for _, b := range e.fresh {
+			e.noteNewBranch(b, &newMasked, &newAny)
 		}
 		if stepErr != nil {
 			// The aborted step's partial coverage above still counts; the
@@ -801,14 +792,18 @@ func (e *Engine) Run() *Result {
 }
 
 // tryInput runs one candidate and applies the corpus/test-case policy: any
-// input hitting new model coverage is emitted as a test case; inputs with
-// new visible coverage or outstanding iteration-difference metric join the
-// corpus (weighted by the metric in model-oriented mode). It reports whether
-// the input was admitted to the corpus.
+// input hitting new model coverage — a new branch, or a new MCDC (condition
+// vector, outcome) pair — is emitted as a test case, so the suite reproduces
+// every pair the Report counts; inputs with new visible coverage or
+// outstanding iteration-difference metric join the corpus (weighted by the
+// metric in model-oriented mode). A pair without a new branch emits a case
+// only: it changes neither the corpus nor the mutation bias. It reports
+// whether the input was admitted to the corpus.
 func (e *Engine) tryInput(data []byte) bool {
+	vectors := e.rec.Vectors()
 	metric, newMasked, newAny := e.RunInput(data)
 
-	if newAny > 0 {
+	if newAny > 0 || e.rec.Vectors() > vectors {
 		tc := testcase.Case{
 			Data:        append([]byte(nil), data...),
 			Found:       time.Since(e.start),
@@ -818,6 +813,8 @@ func (e *Engine) tryInput(data []byte) bool {
 		e.liveMu.Lock()
 		e.cases = append(e.cases, tc)
 		e.liveMu.Unlock()
+	}
+	if newAny > 0 {
 		e.samplePoint()
 		e.refreshBias()
 		if e.opts.OnNewCoverage != nil {
