@@ -78,7 +78,9 @@ func TestReplayMatchesCampaignCoverage(t *testing.T) {
 // TestReplayReproducesCampaignMCDC: the emitted suite carries every MCDC
 // (condition vector, outcome) pair the engine counted, so replaying it on a
 // fresh recorder reproduces the campaign's MCDC coverage exactly — not only
-// its decision and condition coverage — on every benchmark model.
+// its decision and condition coverage — on every benchmark model. The
+// minimized suite must reproduce all three exactly too: minimization keeps
+// a case for a pair as well as for a branch.
 func TestReplayReproducesCampaignMCDC(t *testing.T) {
 	for _, e := range benchmodels.All() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -98,6 +100,18 @@ func TestReplayReproducesCampaignMCDC(t *testing.T) {
 			if rep.MCDCCovered != res.Report.MCDCCovered || rep.MCDCTotal != res.Report.MCDCTotal {
 				t.Errorf("replayed suite of %d cases: MCDC %d/%d, campaign reported %d/%d",
 					len(raw), rep.MCDCCovered, rep.MCDCTotal, res.Report.MCDCCovered, res.Report.MCDCTotal)
+			}
+
+			var min [][]byte
+			for _, c := range fuzz.Minimize(sys.Compiled, res.Suite.Cases) {
+				min = append(min, c.Data)
+			}
+			mrep, _ := sys.Replay(min)
+			got := [3]int{mrep.DecisionCovered, mrep.CondCovered, mrep.MCDCCovered}
+			want := [3]int{res.Report.DecisionCovered, res.Report.CondCovered, res.Report.MCDCCovered}
+			if got != want {
+				t.Errorf("minimized suite of %d/%d cases: decision/condition/MCDC covered %v, campaign reported %v",
+					len(min), len(raw), got, want)
 			}
 		})
 	}

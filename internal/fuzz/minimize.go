@@ -12,78 +12,46 @@ import (
 
 // Minimize greedily reduces a test suite to a subset with the same model
 // coverage: cases are replayed in descending new-branch order and kept only
-// when they contribute at least one branch the kept set has not reached.
-// The classic test-suite reduction pass a generation tool runs before
-// handing the suite to engineers.
+// when they contribute a branch or an MCDC (decision, condition vector,
+// outcome) pair the kept set has not reached. Every case replays from Init,
+// so the kept set's pairs are exactly the suite's. The classic test-suite
+// reduction pass a generation tool runs before handing the suite to
+// engineers.
 func Minimize(c *codegen.Compiled, cases []testcase.Case) []testcase.Case {
-	rec := coverage.NewRecorder(c.Plan)
-	m := vm.New(c.Prog, rec)
-	tuple := c.Prog.TupleSize()
-	fields := c.Prog.In
-	in := make([]uint64, len(fields))
-
-	// coverageOf replays one case into a fresh per-case bitmap. A case that
-	// hangs mid-replay keeps the coverage accumulated up to the abort.
-	coverageOf := func(data []byte) []uint8 {
-		bits := make([]uint8, c.Plan.NumBranches)
-		if m.Init() != nil {
-			return bits
-		}
-		n := 0
-		if tuple > 0 {
-			n = len(data) / tuple
-		}
-		for it := 0; it < n; it++ {
-			base := it * tuple
-			for fi, f := range fields {
-				in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-			}
-			rec.BeginStep()
-			err := m.Step(in)
-			for b, v := range rec.Curr {
-				if v != 0 {
-					bits[b] = 1
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		return bits
-	}
-
+	r := newReplayer(c)
 	type scored struct {
 		tc   testcase.Case
 		bits []uint8
 	}
 	all := make([]scored, len(cases))
 	for i, tc := range cases {
-		all[i] = scored{tc: tc, bits: coverageOf(tc.Data)}
+		all[i] = scored{tc: tc, bits: make([]uint8, c.Plan.NumBranches)}
+		r.replay(tc.Data, all[i].bits)
 	}
 	// Largest contributors first makes the greedy pass effective.
 	sort.SliceStable(all, func(i, j int) bool {
 		return count(all[i].bits) > count(all[j].bits)
 	})
 
+	// The greedy pass replays every case onto one recorder. A case that adds
+	// neither a branch nor a pair leaves its pair set unchanged, so the
+	// recorder's pair count is always the kept set's.
+	r.rec.ResetAll()
 	kept := make([]testcase.Case, 0, len(cases))
 	covered := make([]uint8, c.Plan.NumBranches)
 	for _, s := range all {
-		adds := false
+		pairs := r.rec.Vectors()
+		r.replay(s.tc.Data, nil)
+		adds := r.rec.Vectors() > pairs
 		for b, v := range s.bits {
 			if v != 0 && covered[b] == 0 {
-				adds = true
-				break
-			}
-		}
-		if !adds {
-			continue
-		}
-		for b, v := range s.bits {
-			if v != 0 {
 				covered[b] = 1
+				adds = true
 			}
 		}
-		kept = append(kept, s.tc)
+		if adds {
+			kept = append(kept, s.tc)
+		}
 	}
 	return kept
 }
@@ -108,32 +76,10 @@ func Trim(c *codegen.Compiled, data []byte) []byte {
 	if tuple == 0 || len(data) < 2*tuple {
 		return data
 	}
-	rec := coverage.NewRecorder(c.Plan)
-	m := vm.New(c.Prog, rec)
-	fields := c.Prog.In
-	in := make([]uint64, len(fields))
-
+	r := newReplayer(c)
 	coverageOf := func(d []byte) []uint8 {
 		bits := make([]uint8, c.Plan.NumBranches)
-		if m.Init() != nil {
-			return bits
-		}
-		for it := 0; it < len(d)/tuple; it++ {
-			base := it * tuple
-			for fi, f := range fields {
-				in[fi] = model.GetRaw(f.Type, d[base+f.Offset:])
-			}
-			rec.BeginStep()
-			err := m.Step(in)
-			for b, v := range rec.Curr {
-				if v != 0 {
-					bits[b] = 1
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
+		r.replay(d, bits)
 		return bits
 	}
 	covers := func(have, want []uint8) bool {
@@ -177,4 +123,50 @@ func Trim(c *codegen.Compiled, data []byte) []byte {
 		i++
 	}
 	return cur
+}
+
+// replayer re-executes test cases on the reference VM with a recorder
+// attached — the replay Minimize and Trim judge cases by.
+type replayer struct {
+	c   *codegen.Compiled
+	rec *coverage.Recorder
+	m   *vm.Machine
+	in  []uint64
+}
+
+func newReplayer(c *codegen.Compiled) *replayer {
+	rec := coverage.NewRecorder(c.Plan)
+	return &replayer{c: c, rec: rec, m: vm.New(c.Prog, rec), in: make([]uint64, len(c.Prog.In))}
+}
+
+// replay runs data from Init and, when bits is non-nil, marks in it every
+// branch the case's steps hit. A case that hangs mid-replay keeps the
+// coverage accumulated up to the abort.
+func (r *replayer) replay(data []byte, bits []uint8) {
+	r.rec.BeginStep()
+	if r.m.Init() != nil {
+		return
+	}
+	tuple := r.c.Prog.TupleSize()
+	if tuple == 0 {
+		return
+	}
+	for it := 0; it < len(data)/tuple; it++ {
+		base := it * tuple
+		for fi, f := range r.c.Prog.In {
+			r.in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
+		}
+		r.rec.BeginStep()
+		err := r.m.Step(r.in)
+		if bits != nil {
+			for b, v := range r.rec.Curr {
+				if v != 0 {
+					bits[b] = 1
+				}
+			}
+		}
+		if err != nil {
+			break
+		}
+	}
 }

@@ -56,10 +56,10 @@ type Mutant struct {
 	// chart-level mutants.
 	Fields []int `json:"fields,omitempty"`
 
-	// code caches the threaded compilation of Prog for the batched runner,
+	// code caches the threaded compilation of Prog for the mutant runner,
 	// so repeated scoring passes (the survivor feedback loop) compile each
 	// mutant once. codeBad latches a compile rejection — such a mutant
-	// permanently falls back to the sequential path.
+	// permanently runs on the reference interpreter.
 	code    *vm.Code
 	codeBad bool
 }

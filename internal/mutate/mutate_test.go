@@ -8,8 +8,10 @@ import (
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
+	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
+	"cftcg/internal/vm"
 )
 
 func compile(t *testing.T, m *model.Model) *codegen.Compiled {
@@ -407,13 +409,19 @@ func randomSuite(p *ir.Program, seed int64, nCases, nSteps int) [][]byte {
 	return suite
 }
 
-// TestBatchedMatchesSequential: the batched input-major runner and the
-// sequential one-machine-per-mutant path are the same oracle. Every field of
-// the report — kill reasons, killing case, duplicate collapsing (which flows
-// through the behavior hashes), execution counters, score — must be
+// referenceMachine runs every mutant on the switch interpreter, the
+// reference semantics the threaded backend is held to.
+func referenceMachine(mu *Mutant, rec *coverage.Recorder) vm.Backend {
+	return vm.New(mu.Prog, rec)
+}
+
+// TestThreadedMatchesReference: scoring mutants on their cached threaded
+// compiles and on the reference interpreter is the same oracle. Every field
+// of the report — kill reasons, killing case, duplicate collapsing (which
+// flows through the behavior hashes), execution counters, score — must be
 // identical, across plain runs and a tiny-fuel run that exercises the
 // timeout and terminal-event paths.
-func TestBatchedMatchesSequential(t *testing.T) {
+func TestThreadedMatchesReference(t *testing.T) {
 	for _, name := range []string{"CPUTask", "SolarPV"} {
 		e, err := benchmodels.Get(name)
 		if err != nil {
@@ -428,23 +436,81 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			{NoProve: true, NoProbe: true},
 			{NoProve: true, Fuel: 600, MaxSteps: 6},
 		} {
-			seqCfg := cfg
-			seqCfg.NoBatch = true
-			seq := Run(c, muts, suite, seqCfg)
-			bat := Run(c, muts, suite, cfg)
-			if !reflect.DeepEqual(seq.Summary, bat.Summary) {
-				t.Fatalf("%s cfg %+v: summaries differ\nseq: %+v\nbat: %+v", name, cfg, seq.Summary, bat.Summary)
+			ref := run(c, muts, suite, cfg, referenceMachine)
+			thr := Run(c, muts, suite, cfg)
+			for _, mu := range muts {
+				if _, ok := mutantMachine(mu, nil).(*vm.Threaded); !ok {
+					t.Fatalf("%s: mutant %d does not run threaded", name, mu.ID)
+				}
 			}
-			if seq.Execs != bat.Execs || seq.Steps != bat.Steps {
-				t.Fatalf("%s cfg %+v: counters differ: seq %d/%d, bat %d/%d",
-					name, cfg, seq.Execs, seq.Steps, bat.Execs, bat.Steps)
+			if !reflect.DeepEqual(ref.Summary, thr.Summary) {
+				t.Fatalf("%s cfg %+v: summaries differ\nref: %+v\nthr: %+v", name, cfg, ref.Summary, thr.Summary)
 			}
-			for i := range seq.Results {
-				if !reflect.DeepEqual(seq.Results[i], bat.Results[i]) {
-					t.Fatalf("%s cfg %+v: mutant %d differs\nseq: %+v\nbat: %+v",
-						name, cfg, i, seq.Results[i], bat.Results[i])
+			if ref.Execs != thr.Execs || ref.Steps != thr.Steps {
+				t.Fatalf("%s cfg %+v: counters differ: ref %d/%d, thr %d/%d",
+					name, cfg, ref.Execs, ref.Steps, thr.Execs, thr.Steps)
+			}
+			for i := range ref.Results {
+				if !reflect.DeepEqual(ref.Results[i], thr.Results[i]) {
+					t.Fatalf("%s cfg %+v: mutant %d differs\nref: %+v\nthr: %+v",
+						name, cfg, i, ref.Results[i], thr.Results[i])
 				}
 			}
 		}
+	}
+}
+
+// TestRunFallsBackAndCachesCompiles: a mutant program the threaded compiler
+// rejects runs on the reference interpreter, where its crash is a kill
+// rather than a panic out of Run, and it leaves every other mutant's result
+// alone. Scoring the same mutants again reuses each cached compile — the
+// survivor feedback loop rescores survivors every round.
+func TestRunFallsBackAndCachesCompiles(t *testing.T) {
+	e, err := benchmodels.Get("SolarPV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := e.Build()
+	c := compile(t, m)
+	muts := Generate(c, m, Config{Limit: 30, Seed: 5})
+	suite := randomSuite(c.Prog, 23, 3, 10)
+	cfg := RunConfig{NoProve: true}
+	want := Run(c, muts, suite, cfg)
+
+	// A register file too small for any instruction fails Validate.
+	badProg := *muts[0].Prog
+	badProg.NumRegs = 0
+	if badProg.Validate() == nil {
+		t.Fatal("corrupted program still validates")
+	}
+	bad := &Mutant{ID: len(muts), Operator: "corrupt", Site: "NumRegs=0", Prog: &badProg, Plan: c.Plan, SamePlan: true}
+	all := append(append([]*Mutant(nil), muts...), bad)
+
+	got := Run(c, all, suite, cfg)
+	if _, ok := mutantMachine(bad, nil).(*vm.Machine); !ok || !bad.codeBad {
+		t.Fatalf("invalid mutant does not fall back to the reference interpreter (codeBad=%v)", bad.codeBad)
+	}
+	if r := got.Results[len(muts)]; !r.Killed || r.Reason != "crash" {
+		t.Errorf("invalid mutant: got %+v, want a crash kill", r)
+	}
+	if !reflect.DeepEqual(got.Results[:len(muts)], want.Results) {
+		t.Error("adding the invalid mutant changed the other mutants' results")
+	}
+
+	codes := make([]*vm.Code, len(muts))
+	for i, mu := range muts {
+		if mu.code == nil {
+			t.Fatalf("mutant %d has no cached compile", mu.ID)
+		}
+		codes[i] = mu.code
+	}
+	again := Run(c, all, suite, cfg)
+	for i, mu := range muts {
+		if mu.code != codes[i] {
+			t.Errorf("mutant %d was compiled again on the second Run", mu.ID)
+		}
+	}
+	if !reflect.DeepEqual(again.Results, got.Results) || again.Execs != got.Execs || again.Steps != got.Steps {
+		t.Error("rescoring the same mutants changed the report")
 	}
 }

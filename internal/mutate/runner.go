@@ -44,18 +44,12 @@ type RunConfig struct {
 	// NoProve disables the equivalent-mutant proof pass: every survivor
 	// stays in the score denominator, matching the pre-prover behavior.
 	NoProve bool
-	// NoBatch forces the sequential one-machine-per-mutant path instead of
-	// the batched input-major runner. The two paths produce identical
-	// reports (TestBatchedMatchesSequential); sequential remains as the
-	// reference oracle and as a fallback for debugging.
+	// NoBatch once selected the sequential runner over batched lanes; the
+	// sequential runner is now the only one.
+	//
+	// Deprecated: no effect.
 	NoBatch bool
 }
-
-// batchGroupLanes bounds how many mutants share one vm.Batch. The slab sizes
-// scale with lanes × the widest mutant's register file, so a cap keeps the
-// working set inside cache while still amortizing allocation and compile
-// overhead across the group.
-const batchGroupLanes = 64
 
 // DefaultMutantFuel bounds one mutant init/step call.
 const DefaultMutantFuel = 1 << 18
@@ -180,7 +174,7 @@ func decodeCases(p *ir.Program, cases [][]byte, maxSteps int) [][][]uint64 {
 }
 
 // safeInit/safeStep convert VM panics into a "crash" terminal event.
-func safeInit(m *vm.Machine) (err error, crashed bool) {
+func safeInit(m vm.Backend) (err error, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			crashed = true
@@ -189,7 +183,7 @@ func safeInit(m *vm.Machine) (err error, crashed bool) {
 	return m.Init(), false
 }
 
-func safeStep(m *vm.Machine, in []uint64) (err error, crashed bool) {
+func safeStep(m vm.Backend, in []uint64) (err error, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			crashed = true
@@ -206,7 +200,7 @@ func probeHash(rec *coverage.Recorder) uint64 {
 }
 
 // traceCase records the original program's behavior on one case.
-func traceCase(m *vm.Machine, rec *coverage.Recorder, steps [][]uint64) caseTrace {
+func traceCase(m vm.Backend, rec *coverage.Recorder, steps [][]uint64) caseTrace {
 	var tr caseTrace
 	if err, crashed := safeInit(m); crashed || err != nil {
 		tr.term = termOf(err, crashed)
@@ -245,6 +239,13 @@ func termOf(err error, crashed bool) string {
 // original program c provides the reference traces; cases are raw suite
 // inputs (tuple streams).
 func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Report {
+	return run(c, muts, cases, cfg, mutantMachine)
+}
+
+// run is Run with the mutant machine constructor as a parameter, so the
+// differential test can score the same mutants on the reference
+// interpreter.
+func run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig, newMachine func(*Mutant, *coverage.Recorder) vm.Backend) *Report {
 	if cfg.Fuel <= 0 {
 		cfg.Fuel = DefaultMutantFuel
 	}
@@ -264,19 +265,9 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 		mutants: muts,
 		Summary: Summary{Total: len(muts), Operators: map[string]OpStat{}},
 	}
-	// Execute every mutant. The batched path runs groups of mutants as lanes
-	// of one vm.Batch, input-major; outcomes are bit-identical to the
-	// sequential path, so scoring below is oblivious to which path ran.
 	outs := make([]mutantOutcome, len(muts))
-	if cfg.NoBatch {
-		for mi, mu := range muts {
-			outs[mi] = runMutant(mu, decoded, base, cfg, rep)
-		}
-	} else {
-		for start := 0; start < len(muts); start += batchGroupLanes {
-			end := min(start+batchGroupLanes, len(muts))
-			runMutantGroup(muts[start:end], decoded, base, cfg, rep, outs[start:end])
-		}
+	for mi, mu := range muts {
+		outs[mi] = runMutant(mu, newMachine, decoded, base, cfg, rep)
 	}
 
 	seenKills := map[uint64]bool{}
@@ -355,14 +346,14 @@ type mutantOutcome struct {
 // the reference traces. The first divergence kills; the remainder of the
 // divergent case is still executed and hashed so the dedup hash reflects
 // the mutant's observable behavior, not just the detection point.
-func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig, rep *Report) (out mutantOutcome) {
+func runMutant(mu *Mutant, newMachine func(*Mutant, *coverage.Recorder) vm.Backend, decoded [][][]uint64, base []caseTrace, cfg RunConfig, rep *Report) (out mutantOutcome) {
 	out = mutantOutcome{Result: Result{KilledBy: -1}}
 	var rec *coverage.Recorder
 	probes := mu.SamePlan && !cfg.NoProbe
 	if probes {
 		rec = coverage.NewRecorder(mu.Plan)
 	}
-	m := vm.New(mu.Prog, rec)
+	m := newMachine(mu, rec)
 	m.SetFuel(cfg.Fuel)
 	h := uint64(fnvOffset)
 	defer func() { out.hash = h }() // every exit path carries the behavior hash
@@ -442,28 +433,10 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 	return out
 }
 
-// laneState is one mutant's in-flight bookkeeping in the batched runner —
-// the locals of runMutant, lifted into a struct so many mutants can advance
-// through the case stream together.
-type laneState struct {
-	rec      *coverage.Recorder
-	h        uint64
-	out      mutantOutcome
-	probes   bool
-	done     bool // mutant finished: where runMutant would have returned
-	diverged bool // within the current case
-}
-
-func (l *laneState) kill(ci int, reason string) {
-	l.out.Killed = true
-	l.out.KilledBy = ci
-	l.out.Reason = reason
-	l.h = hashWords(l.h, []uint8(reason))
-}
-
-// compileLane compiles one mutant for batch execution, converting a compile
-// panic (a mutant the threaded backend rejects) into a fallback signal.
-func compileLane(p *ir.Program) (c *vm.Code, ok bool) {
+// compileThreaded compiles one mutant for threaded execution, converting a
+// compile panic (a mutant the threaded backend rejects) into a fallback
+// signal.
+func compileThreaded(p *ir.Program) (c *vm.Code, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			c, ok = nil, false
@@ -480,7 +453,7 @@ func compiledCode(mu *Mutant) (*vm.Code, bool) {
 		return nil, false
 	}
 	if mu.code == nil {
-		c, ok := compileLane(mu.Prog)
+		c, ok := compileThreaded(mu.Prog)
 		if !ok {
 			mu.codeBad = true
 			return nil, false
@@ -490,155 +463,14 @@ func compiledCode(mu *Mutant) (*vm.Code, bool) {
 	return mu.code, true
 }
 
-// safeBatchInit/safeBatchStep convert lane panics into a "crash" terminal
-// event, mirroring safeInit/safeStep on the sequential path.
-func safeBatchInit(b *vm.Batch, lane int) (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-		}
-	}()
-	return b.Init(lane), false
-}
-
-func safeBatchStep(b *vm.Batch, lane int, in []uint64) (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-		}
-	}()
-	return b.Step(lane, in), false
-}
-
-// runMutantGroup executes up to batchGroupLanes mutants as lanes of one
-// vm.Batch, input-major: every live lane advances through the same case and
-// step together, so each decoded input vector is touched once per step while
-// the lanes' register files stream through adjacent structure-of-arrays
-// slabs. The kill logic, hash accumulation and counter increments reproduce
-// runMutant exactly — a lane is simply runMutant's control flow flattened
-// into a per-lane state machine. Mutants whose program the threaded compiler
-// rejects fall back to the sequential path.
-func runMutantGroup(muts []*Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig, rep *Report, outs []mutantOutcome) {
-	codes := make([]*vm.Code, 0, len(muts))
-	recs := make([]*coverage.Recorder, 0, len(muts))
-	lanes := make([]int, 0, len(muts)) // lane -> index into muts/outs
-	for i, mu := range muts {
-		code, ok := compiledCode(mu)
-		if !ok {
-			outs[i] = runMutant(mu, decoded, base, cfg, rep)
-			continue
-		}
-		var rec *coverage.Recorder
-		if mu.SamePlan && !cfg.NoProbe {
-			rec = coverage.NewRecorder(mu.Plan)
-		}
-		codes = append(codes, code)
-		recs = append(recs, rec)
-		lanes = append(lanes, i)
+// mutantMachine builds the machine a mutant runs on: a threaded machine over
+// the mutant's cached compile, or the reference interpreter for a program
+// the threaded compiler rejects.
+func mutantMachine(mu *Mutant, rec *coverage.Recorder) vm.Backend {
+	if code, ok := compiledCode(mu); ok {
+		return vm.NewThreadedFromCode(code, rec)
 	}
-	if len(codes) == 0 {
-		return
-	}
-	b := vm.NewBatchMulti(codes, recs)
-	b.SetFuel(cfg.Fuel)
-	ls := make([]laneState, len(lanes))
-	for li := range ls {
-		ls[li] = laneState{
-			rec:    recs[li],
-			h:      fnvOffset,
-			out:    mutantOutcome{Result: Result{KilledBy: -1}},
-			probes: recs[li] != nil,
-		}
-	}
-
-	for ci, steps := range decoded {
-		ref := base[ci]
-		inCase := false
-		for li := range ls {
-			l := &ls[li]
-			if l.done {
-				continue
-			}
-			rep.Execs++
-			if err, crashed := safeBatchInit(b, li); crashed || err != nil {
-				term := termOf(err, crashed)
-				l.h = hash64(l.h, uint64(ci))
-				l.h = hashWords(l.h, []uint8("init-"+term))
-				if ref.term == "" || len(ref.steps) > 0 {
-					l.kill(ci, term)
-				}
-				l.done = true
-				continue
-			}
-			l.diverged = false
-			inCase = true
-		}
-		if !inCase {
-			continue
-		}
-		for si, in := range steps {
-			for li := range ls {
-				l := &ls[li]
-				if l.done {
-					continue
-				}
-				if l.rec != nil {
-					l.rec.BeginStep()
-				}
-				err, crashed := safeBatchStep(b, li, in)
-				rep.Steps++
-				if crashed || err != nil {
-					term := termOf(err, crashed)
-					l.h = hash64(l.h, uint64(si))
-					l.h = hashWords(l.h, []uint8(term))
-					if !l.diverged {
-						l.kill(ci, term)
-					}
-					l.done = true
-					continue
-				}
-				for _, o := range b.Out(li) {
-					l.h = hash64(l.h, o)
-				}
-				ph := probeHash(l.rec)
-				if l.probes {
-					l.h = hash64(l.h, ph)
-				}
-				if l.diverged {
-					continue
-				}
-				switch {
-				case si >= len(ref.steps):
-					l.kill(ci, "outlived-"+ref.term)
-					l.diverged = true
-				case !equalWords(b.Out(li), ref.steps[si].out):
-					l.kill(ci, "output")
-					l.diverged = true
-				case l.probes && ph != ref.steps[si].probe:
-					l.kill(ci, "probe")
-					l.diverged = true
-				}
-			}
-		}
-		for li := range ls {
-			l := &ls[li]
-			if l.done {
-				continue
-			}
-			if l.diverged {
-				l.done = true // rest of the divergent case hashed; later cases moot
-				continue
-			}
-			if ref.term != "" && len(steps) > len(ref.steps) {
-				l.kill(ci, "outlived-"+ref.term)
-				l.done = true
-			}
-		}
-	}
-	for li, mi := range lanes {
-		ls[li].out.hash = ls[li].h
-		outs[mi] = ls[li].out
-	}
+	return vm.New(mu.Prog, rec)
 }
 
 func equalWords(a, b []uint64) bool {

@@ -722,7 +722,7 @@ func replayPrefix(prefix []ir.Instr, s *execState) {
 	runMops(compileMops(prefix), nil, s, int64(len(prefix)))
 }
 
-// runMops is the inner interpreter loop, shared by Threaded and Batch. code
+// runMops is the inner interpreter loop of the Threaded machine. code
 // is the function body ms was compiled from. Fuel is charged before
 // execution, exactly mirroring the reference interpreter's check-before-
 // execute order: cost instructions per dispatch. When the budget dies at a

@@ -24,11 +24,10 @@ import (
 // reference switch interpreter exactly (see replayPrefix).
 //
 // The compiled Code is immutable and shared: one compile serves any number
-// of Threaded machines and Batch lanes.
+// of Threaded machines.
 
 // execState is the mutable register/state/output file a compiled program
-// executes against. Threaded owns one; Batch owns one per lane, backed by
-// structure-of-arrays slabs.
+// executes against. Each Threaded machine owns one.
 type execState struct {
 	regs  []uint64
 	state []uint64
@@ -57,7 +56,7 @@ func (c *Code) Program() *ir.Program { return c.prog }
 func (c *Code) Fused() int { return c.fused }
 
 // CompileThreaded translates a program into threaded code. The result is
-// immutable and safe to share across machines and batch lanes.
+// immutable and safe to share across machines.
 //
 // The program must be valid: the compiled stream addresses the register
 // file without per-access bounds checks, relying on Validate's range checks

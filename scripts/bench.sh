@@ -2,17 +2,17 @@
 # bench.sh — run the pinned benchmark set and write a machine-readable
 # snapshot (default BENCH_v9.json) for cross-PR performance tracking.
 # The pinned set is the fast, stable subset of the root bench_test.go
-# harness: mutation-strategy costs, mutant-runner throughput (batched lanes
-# vs the sequential reference), the exec-bounded fuzz loop per model, the
-# full harness orchestration path, the original-vs-optimized VM comparison,
-# the switch-vs-threaded backend comparison, and the batch (SoA lanes) vs
-# separate-machines comparison. Every benchmark runs 5 times (-count 5), so
-# the snapshot holds 5 samples per name and run-to-run noise is visible.
+# harness: mutation-strategy costs, mutant-runner throughput (one threaded
+# machine per mutant), the exec-bounded fuzz loop per model, the full
+# harness orchestration path, the original-vs-optimized VM comparison, and
+# the switch-vs-threaded backend comparison. Every benchmark runs 5 times
+# (-count 5), so the snapshot holds 5 samples per name and run-to-run noise
+# is visible.
 set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_v9.json}"
-pattern='^(BenchmarkTable1MutationStrategies|BenchmarkMutantKill|BenchmarkEngine|BenchmarkHarnessTable3|BenchmarkVMOptimized|BenchmarkVMBackends|BenchmarkVMBatch)$'
+pattern='^(BenchmarkTable1MutationStrategies|BenchmarkMutantKill|BenchmarkEngine|BenchmarkHarnessTable3|BenchmarkVMOptimized|BenchmarkVMBackends)$'
 
 raw=$(go test -run '^$' -bench "$pattern" -benchtime 200ms -count 5 .)
 echo "$raw" >&2
