@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench bench-smoke chaos mutate-smoke opt-smoke cover fuzz-smoke daemon-smoke
+.PHONY: all build test race vet fmt lint check bench bench-smoke bench-vet chaos mutate-smoke opt-smoke cover fuzz-smoke daemon-smoke
 
 all: check
 
@@ -91,9 +91,15 @@ daemon-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^(BenchmarkEngine|BenchmarkHarnessTable3)$$' -benchtime 1x .
 
+# bench-vet compiles and vets the benchmark harness (perfbench/). It is a
+# separate module, so `go build ./...` never reaches it, yet it drives the
+# fuzz, campaign, opt and mutate APIs directly.
+bench-vet:
+	cd perfbench && $(GO) vet .
+
 # check is the CI gate (scripts/check.sh runs it). Its stages run in order;
 # lint includes fmt and vet.
-check: lint build test race cover fuzz-smoke mutate-smoke opt-smoke chaos daemon-smoke bench-smoke
+check: lint build test race cover fuzz-smoke mutate-smoke opt-smoke chaos daemon-smoke bench-smoke bench-vet
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

@@ -176,9 +176,9 @@ func main() {
 		// equivalent, so the analysis remains valid for the original.
 		var ostats *opt.Stats
 		if *doOpt {
-			var err error
-			ostats, err = sys.Compiled.Optimize(opt.Config{})
+			optimized, st, err := opt.Optimize(sys.Compiled.Prog, sys.Compiled.Plan, opt.Config{})
 			check(err)
+			sys.Compiled.Prog, ostats = optimized, st
 		}
 		prog, plan := sys.Compiled.Prog, sys.Compiled.Plan
 		issues := analysis.Verify(prog, plan)

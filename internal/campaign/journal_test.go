@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -81,6 +83,77 @@ func TestJournalDurableLifecycle(t *testing.T) {
 	}
 	waitState(t, srv2, next.ID, StateDone)
 	drain(t, srv2)
+}
+
+// TestJournalCompactionReplays: with tiny WAL segments a handful of jobs
+// push the journal past compactSegments, so the server compacts it into a
+// snapshot record and deletes the older segments. A server reopened on the
+// directory must fold that snapshot back into the same job table.
+func TestJournalCompactionReplays(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ServerConfig{Journal: dir, JournalSegmentBytes: 512}
+	srv, err := NewServerWithConfig(testResolver(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []JobStatus
+	for i := 0; i < 8; i++ {
+		spec, state := Spec{Model: "Magic", MaxExecs: 50, Seed: int64(i + 1)}, StateDone
+		if i == 3 {
+			spec, state = Spec{Model: "NoSuch", MaxExecs: 50}, StateFailed
+		}
+		job, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, waitState(t, srv, job.ID, state))
+	}
+	drain(t, srv)
+	srv.mu.Lock()
+	wantNext := srv.nextID
+	srv.mu.Unlock()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no journal segments: %v %v", segs, err)
+	}
+	sort.Strings(segs)
+	var written int
+	if _, err := fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "%d.wal", &written); err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) >= written {
+		t.Fatalf("journal never compacted: %d segments written, %d kept", written, len(segs))
+	}
+	t.Logf("journal compacted: %d segments written, %d kept", written, len(segs))
+
+	srv2, err := NewServerWithConfig(testResolver(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, srv2)
+	jobs := srv2.Jobs()
+	if len(jobs) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, j := range jobs {
+		got, w := j.status(), want[i]
+		if got.ID != w.ID || got.State != w.State || got.Error != w.Error {
+			t.Errorf("job %d replayed as {id %d, %s, %q}, want {id %d, %s, %q}",
+				i, got.ID, got.State, got.Error, w.ID, w.State, w.Error)
+		}
+		gr, _ := json.Marshal(got.Report)
+		wr, _ := json.Marshal(w.Report)
+		if string(gr) != string(wr) {
+			t.Errorf("job %d report changed across compaction:\n got %s\nwant %s", w.ID, gr, wr)
+		}
+	}
+	srv2.mu.Lock()
+	gotNext := srv2.nextID
+	srv2.mu.Unlock()
+	if gotNext != wantNext {
+		t.Errorf("next job ID %d after replay, want %d", gotNext, wantNext)
+	}
 }
 
 // TestJournalRequeuesInterrupted: a journal recording submitted+started with

@@ -111,6 +111,15 @@ const (
 // HTTP layer maps it to 503 so load balancers retry elsewhere.
 var ErrOverloaded = errors.New("campaign: queue full")
 
+// errDraining is returned by Submit once Drain has begun; like
+// ErrOverloaded it is transient and maps to 503. Every other Submit error is
+// a bad spec and maps to 400, since retrying it can never succeed.
+var errDraining = errors.New("campaign: server is draining")
+
+// maxShards bounds a submission's shard count: the spec arrives in an
+// untrusted HTTP body, and New builds one engine and goroutine per shard.
+const maxShards = 64
+
 // Job is one queued or executed campaign.
 type Job struct {
 	ID        int
@@ -206,9 +215,6 @@ type ServerConfig struct {
 	Journal string
 	// JournalSegmentBytes overrides the WAL segment size (testing).
 	JournalSegmentBytes int64
-	// CompactSegments triggers journal compaction when the WAL grows past
-	// this many segments (default 4).
-	CompactSegments int
 	// Supervise tunes shard supervision for every campaign this server runs.
 	Supervise Supervise
 }
@@ -222,9 +228,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxImportBytes <= 0 {
 		c.MaxImportBytes = 32 << 20
-	}
-	if c.CompactSegments <= 0 {
-		c.CompactSegments = 4
 	}
 	return c
 }
@@ -508,10 +511,14 @@ func (s *Server) observerFor(jobID int) func(ObserverEvent) {
 	}
 }
 
+// compactSegments is the WAL segment count past which the journal is
+// compacted into one snapshot record.
+const compactSegments = 4
+
 // maybeCompact rewrites the journal as one snapshot record once it has grown
-// past the configured segment count, releasing the older segments.
+// past compactSegments segments, releasing the older segments.
 func (s *Server) maybeCompact() {
-	if s.journal == nil || s.journal.segments() <= s.cfg.CompactSegments {
+	if s.journal == nil || s.journal.segments() <= compactSegments {
 		return
 	}
 	s.mu.Lock()
@@ -532,19 +539,27 @@ func (s *Server) maybeCompact() {
 	s.journal.compact(table, nextID)
 }
 
-// Submit enqueues a campaign, returning the job or an error if the server
-// is draining or the queue is at capacity (ErrOverloaded).
+// Submit validates and enqueues a campaign, returning the job or an error
+// if the spec is bad, the server is draining, or the queue is at capacity
+// (ErrOverloaded).
 func (s *Server) Submit(spec Spec) (*Job, error) {
 	if spec.Model == "" {
 		return nil, fmt.Errorf("campaign: missing model")
 	}
-	if _, err := fuzz.ParseMode(spec.Mode); err != nil {
+	if spec.Shards > maxShards {
+		return nil, fmt.Errorf("campaign: %d shards exceeds the limit of %d", spec.Shards, maxShards)
+	}
+	opts, err := spec.options()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("campaign: server is draining")
+		return nil, errDraining
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
 		s.mu.Unlock()
@@ -777,7 +792,11 @@ func (s *Server) Handler() http.Handler {
 		}
 		job, err := s.Submit(spec)
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
+			code := http.StatusBadRequest
+			if errors.Is(err, ErrOverloaded) || errors.Is(err, errDraining) {
+				code = http.StatusServiceUnavailable
+			}
+			httpError(w, code, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, job.status())

@@ -176,11 +176,25 @@ func TestServerSubmissionErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code := postJSON(t, ts, "/api/campaigns", Spec{}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("missing model: want 503, got %d", code)
+	// A bad spec can never succeed, so it is a 400, not a retryable 503.
+	for _, bad := range []struct {
+		name string
+		spec Spec
+	}{
+		{"missing model", Spec{}},
+		{"bad mode", Spec{Model: "Magic", Mode: "bogus"}},
+		{"bad budget", Spec{Model: "Magic", Budget: "soon"}},
+		{"bad checkpointEvery", Spec{Model: "Magic", MaxExecs: 10, CheckpointEvery: "often"}},
+		{"negative execs", Spec{Model: "Magic", MaxExecs: -1}},
+		{"negative fuel", Spec{Model: "Magic", MaxExecs: 10, Fuel: -1}},
+		{"too many shards", Spec{Model: "Magic", MaxExecs: 10, Shards: maxShards + 1}},
+	} {
+		if code := postJSON(t, ts, "/api/campaigns", bad.spec, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: want 400, got %d", bad.name, code)
+		}
 	}
-	if code := postJSON(t, ts, "/api/campaigns", Spec{Model: "Magic", Mode: "bogus"}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("bad mode: want 503, got %d", code)
+	if n := len(srv.Jobs()); n != 0 {
+		t.Errorf("rejected specs created %d jobs", n)
 	}
 
 	// Unknown model is accepted (resolution happens on the runner) and the

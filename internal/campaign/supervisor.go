@@ -11,6 +11,10 @@ import (
 	"cftcg/internal/fuzz"
 )
 
+// maxStrikes is the failure count at which a shard is quarantined instead
+// of restarted.
+const maxStrikes = 3
+
 // Supervise tunes the per-shard supervisor. The zero value selects
 // production defaults; chaos tests tighten the deadlines to milliseconds.
 type Supervise struct {
@@ -20,9 +24,6 @@ type Supervise struct {
 	// Poll is the watchdog's sampling interval (default StallTimeout/8,
 	// clamped to [10ms, 1s]).
 	Poll time.Duration
-	// MaxStrikes is the failure count at which a shard is quarantined
-	// instead of restarted (default 3).
-	MaxStrikes int
 	// BackoffBase and BackoffMax bound the exponential backoff (with up to
 	// 50% jitter) between restarts (defaults 50ms and 2s).
 	BackoffBase time.Duration
@@ -30,9 +31,6 @@ type Supervise struct {
 	// KillGrace is how long a stalled shard gets to honour the stop request
 	// before its goroutine is abandoned (default 2s).
 	KillGrace time.Duration
-	// Disabled runs shards bare: no panic capture, no watchdog — the
-	// pre-supervision behavior, for callers that want failures loud.
-	Disabled bool
 }
 
 // withDefaults fills unset supervision knobs.
@@ -48,9 +46,6 @@ func (s Supervise) withDefaults() Supervise {
 	}
 	if s.Poll > time.Second {
 		s.Poll = time.Second
-	}
-	if s.MaxStrikes <= 0 {
-		s.MaxStrikes = 3
 	}
 	if s.BackoffBase <= 0 {
 		s.BackoffBase = 50 * time.Millisecond
@@ -113,14 +108,10 @@ func (sl *shardSlot) isQuarantined() bool {
 // superviseShard drives one shard to completion: panics are captured, a
 // wedged engine is detected by the liveness watchdog and replaced (resuming
 // from its last checkpoint), repeated failures back off exponentially with
-// jitter, and after MaxStrikes failures the shard is quarantined — the
+// jitter, and after maxStrikes failures the shard is quarantined — the
 // ensemble continues degraded rather than hanging. Returns the shard's final
 // result and recorder, or (nil, nil) if it never completed an attempt.
 func (cm *Campaign) superviseShard(sl *shardSlot) (*fuzz.Result, *coverage.Recorder) {
-	if cm.sup.Disabled {
-		eng := sl.engine()
-		return eng.Run(), eng.Recorder()
-	}
 	strikes := 0
 	for {
 		eng := sl.engine()
@@ -132,7 +123,7 @@ func (cm *Campaign) superviseShard(sl *shardSlot) (*fuzz.Result, *coverage.Recor
 		sl.mu.Lock()
 		sl.lastErr = failure
 		sl.mu.Unlock()
-		if strikes >= cm.sup.MaxStrikes {
+		if strikes >= maxStrikes {
 			sl.mu.Lock()
 			sl.quarantined = true
 			sl.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
-	"cftcg/internal/opt"
 	"cftcg/internal/schedule"
 )
 
@@ -14,13 +13,6 @@ import (
 // every lowered program and fail on any error-severity issue. Tests and CI
 // set it once at startup; it is not meant to be toggled concurrently.
 var VerifyLowered bool
-
-// OptimizeLowered, when set, makes Compile run the translation-validated
-// optimization pipeline over every lowered program, so the optimized IR is
-// what the fuzzer, harness, and daemon actually execute. Like VerifyLowered
-// it is a set-once process flag; per-run control lives in fuzz.Options,
-// harness.Config, and campaign.Spec.
-var OptimizeLowered bool
 
 // Compiled bundles every artifact of the fuzzing-code-generation pipeline:
 // the analyzed design, the instrumentation plan, the entity index, and the
@@ -56,25 +48,5 @@ func Compile(m *model.Model) (*Compiled, error) {
 			return nil, err
 		}
 	}
-	c := &Compiled{Design: d, Plan: plan, Index: ix, Prog: prog}
-	if OptimizeLowered {
-		if _, err := c.Optimize(opt.Config{}); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// Optimize runs the translation-validated optimization pipeline over the
-// compiled program and swaps in the optimized IR. The pipeline refuses
-// unverified input and reverts any rewrite it cannot prove or lockstep-check,
-// so on success the replaced program is observably equivalent (outputs and
-// probe streams) to the lowered original.
-func (c *Compiled) Optimize(cfg opt.Config) (*opt.Stats, error) {
-	p, st, err := opt.Optimize(c.Prog, c.Plan, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Prog = p
-	return st, nil
+	return &Compiled{Design: d, Plan: plan, Index: ix, Prog: prog}, nil
 }

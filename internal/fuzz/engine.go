@@ -50,6 +50,10 @@ func (m Mode) String() string {
 	return "mode(?)"
 }
 
+// corpusCap bounds the corpus size; past it the lowest-weight unpinned entry
+// is evicted.
+const corpusCap = 256
+
 // Options configures a fuzzing campaign. At least one of MaxExecs or Budget
 // must be set.
 type Options struct {
@@ -58,8 +62,6 @@ type Options struct {
 	MaxTuples int           // input length cap in tuples (default 64)
 	MaxExecs  int64         // execution budget (0 = unlimited)
 	Budget    time.Duration // wall-clock budget (0 = unlimited)
-	// CorpusCap bounds corpus size (default 256; lowest-weight evicted).
-	CorpusCap int
 
 	// NoHints disables the comparison-constant dictionary extracted from
 	// the instrumented program (§5's "dynamic numerical range constraint"
@@ -142,9 +144,6 @@ func ParseMode(s string) (Mode, error) {
 func (o *Options) Validate() error {
 	if o.MaxTuples < 0 {
 		return fmt.Errorf("fuzz: negative MaxTuples %d", o.MaxTuples)
-	}
-	if o.CorpusCap < 0 {
-		return fmt.Errorf("fuzz: negative CorpusCap %d", o.CorpusCap)
 	}
 	if o.MaxExecs < 0 {
 		return fmt.Errorf("fuzz: negative MaxExecs %d", o.MaxExecs)
@@ -331,9 +330,6 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 	}
 	if opts.MaxTuples <= 0 {
 		opts.MaxTuples = 64
-	}
-	if opts.CorpusCap <= 0 {
-		opts.CorpusCap = 256
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 30 * time.Second
@@ -855,7 +851,7 @@ func (e *Engine) tryInput(data []byte) bool {
 			weight: weight,
 			pinned: newMasked > 0,
 		})
-		if len(e.corpus) > e.opts.CorpusCap {
+		if len(e.corpus) > corpusCap {
 			e.evict()
 		}
 	}

@@ -9,11 +9,12 @@ import (
 	"cftcg/internal/ir"
 )
 
+// maxRounds caps the pass-pipeline fixpoint iterations; the pipeline stops
+// early when a full round changes nothing.
+const maxRounds = 6
+
 // Config bounds one pipeline run.
 type Config struct {
-	// MaxRounds caps the pass-pipeline fixpoint iterations (default 6; the
-	// pipeline stops early when a full round changes nothing).
-	MaxRounds int
 	// LockstepCases / LockstepSteps size the random half of the differential
 	// fallback (defaults 32 cases × 48 steps).
 	LockstepCases int
@@ -24,8 +25,6 @@ type Config struct {
 	// lockstep check — campaign corpora make the differential gate sharp
 	// exactly where the program is actually exercised.
 	Corpus [][]byte
-	// NoValidate skips translation validation (pass-development tests only).
-	NoValidate bool
 }
 
 // PassRun records one validated pass application.
@@ -34,8 +33,8 @@ type PassRun struct {
 	Name    string `json:"name"`
 	Changes int    `json:"changes"`
 	// Verdict is "proved" (abstract product proof), "lockstep" (differential
-	// fallback), "reverted" (validation rejected the rewrite; it was
-	// discarded), or "unvalidated" (NoValidate).
+	// fallback), or "reverted" (validation rejected the rewrite; it was
+	// discarded).
 	Verdict string `json:"verdict"`
 }
 
@@ -89,9 +88,6 @@ func (s *Stats) Summary() string {
 // rejected rewrite is reverted and counted, never shipped. The final
 // program is additionally gated end-to-end against the original.
 func Optimize(p *ir.Program, plan *coverage.Plan, cfg Config) (*ir.Program, *Stats, error) {
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 6
-	}
 	if cfg.LockstepCases <= 0 {
 		cfg.LockstepCases = 32
 	}
@@ -121,7 +117,7 @@ func Optimize(p *ir.Program, plan *coverage.Plan, cfg Config) (*ir.Program, *Sta
 	}
 
 	cur := cloneProg(p)
-	for round := 1; round <= cfg.MaxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		st.Rounds = round
 		changed := false
 		for _, ps := range passes {
@@ -154,23 +150,15 @@ func Optimize(p *ir.Program, plan *coverage.Plan, cfg Config) (*ir.Program, *Sta
 	// verification + lockstep against the original.
 	cand := cloneProg(cur)
 	if n := compact(cand); n > 0 || cand.NumRegs != cur.NumRegs {
-		verdict := "unvalidated"
-		okC := true
-		if !cfg.NoValidate {
-			if cand.Validate() != nil || analysis.VerifyStrict(cand, plan) != nil ||
-				Lockstep(p, cand, plan, cfg.Corpus, cfg.LockstepCases, cfg.LockstepSteps, cfg.Seed) != nil {
-				okC = false
-				verdict = "reverted"
-			} else {
-				verdict = "lockstep"
-			}
+		verdict := "lockstep"
+		if cand.Validate() != nil || analysis.VerifyStrict(cand, plan) != nil ||
+			Lockstep(p, cand, plan, cfg.Corpus, cfg.LockstepCases, cfg.LockstepSteps, cfg.Seed) != nil {
+			verdict = "reverted"
 		}
 		st.Passes = append(st.Passes, PassRun{Round: st.Rounds, Name: "compact", Changes: n, Verdict: verdict})
-		if okC {
+		if verdict == "lockstep" {
 			st.Compacted = n
-			if verdict == "lockstep" {
-				st.Lockstep++
-			}
+			st.Lockstep++
 			cur = cand
 		} else {
 			st.Reverted++
@@ -180,16 +168,14 @@ func Optimize(p *ir.Program, plan *coverage.Plan, cfg Config) (*ir.Program, *Sta
 	// End-to-end gate: the shipped program must be verifier-clean and
 	// lockstep-indistinguishable from the original. Failure here is a
 	// pipeline bug and is reported as an error, not silently shipped.
-	if !cfg.NoValidate {
-		if err := cur.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("opt: %s: optimized program invalid: %w", p.Name, err)
-		}
-		if err := analysis.VerifyStrict(cur, plan); err != nil {
-			return nil, nil, fmt.Errorf("opt: %s: optimized program failed verification: %w", p.Name, err)
-		}
-		if err := Lockstep(p, cur, plan, cfg.Corpus, cfg.LockstepCases, cfg.LockstepSteps, cfg.Seed); err != nil {
-			return nil, nil, fmt.Errorf("opt: %s: final translation validation failed: %w", p.Name, err)
-		}
+	if err := cur.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("opt: %s: optimized program invalid: %w", p.Name, err)
+	}
+	if err := analysis.VerifyStrict(cur, plan); err != nil {
+		return nil, nil, fmt.Errorf("opt: %s: optimized program failed verification: %w", p.Name, err)
+	}
+	if err := Lockstep(p, cur, plan, cfg.Corpus, cfg.LockstepCases, cfg.LockstepSteps, cfg.Seed); err != nil {
+		return nil, nil, fmt.Errorf("opt: %s: final translation validation failed: %w", p.Name, err)
 	}
 	st.InitAfter, st.StepAfter = len(cur.Init), len(cur.Step)
 	return cur, st, nil
@@ -199,9 +185,6 @@ func Optimize(p *ir.Program, plan *coverage.Plan, cfg Config) (*ir.Program, *Sta
 // verification, then the abstract product proof against the pre-pass
 // program, then the lockstep fallback against the original.
 func pipelineValidate(orig, pre, cand *ir.Program, plan *coverage.Plan, cfg Config) string {
-	if cfg.NoValidate {
-		return "unvalidated"
-	}
 	if cand.Validate() != nil || analysis.VerifyStrict(cand, plan) != nil {
 		return "reverted"
 	}
